@@ -1,8 +1,10 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
-Deliberately tiny: only the handful of operations the training losses
-need. Each op computes its value eagerly and pushes a closure onto the
-tape; GradientTape.backward seeds the scalar target with gradient 1 and
+Deliberately tiny: only the ops the training loss needs on top of the
+network's own fused forward op (network.BoundModel.forward): matmul,
+matmul_const, add, scale, reshape and masked_cross_entropy. Each op
+computes its value eagerly and pushes a closure onto the tape;
+GradientTape.backward seeds the scalar target with gradient 1 and
 replays the closures in reverse, accumulating into Var.grad. Gradients
 of untouched leaves stay exactly zero. Constant arrays (anything passed
 as a plain ndarray) never receive gradients.
@@ -81,28 +83,6 @@ def add(a: Var, b: Var) -> Var:
     def backward():
         a.grad += out.grad
         b.grad += out.grad
-
-    a.tape.record(backward)
-    return out
-
-
-def add_bias(a: Var, bias: Var) -> Var:
-    """(N, K) + (K,) with broadcasting over rows."""
-    out = Var(a.value + bias.value, a.tape)
-
-    def backward():
-        a.grad += out.grad
-        bias.grad += out.grad.sum(axis=0)
-
-    a.tape.record(backward)
-    return out
-
-
-def tanh(a: Var) -> Var:
-    out = Var(np.tanh(a.value), a.tape)
-
-    def backward():
-        a.grad += (1.0 - out.value * out.value) * out.grad
 
     a.tape.record(backward)
     return out

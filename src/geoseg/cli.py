@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,6 +292,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     def progress(run):
         print(f"miou_{run.variant}_seed{run.seed} = {run.miou:.6f}")
 
+    start = time.perf_counter()
     result = run_ablation(
         base_cfg=base_cfg,
         synth_cfg=synth_cfg,
@@ -300,9 +302,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         severity=args.severity,
         progress=progress,
     )
+    elapsed = time.perf_counter() - start
     lines = result.table_lines()
     for line in lines:
         print(line)
+    print(f"elapsed_seconds = {elapsed:.1f}")
     if args.out is not None:
         out = Path(args.out)
         _write_lines(out / "ablation.txt", lines)
@@ -387,19 +391,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SceneFormatError, CheckpointFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SceneFormatError, CheckpointFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonFiniteGradientError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except FloatingPointError as exc:
+    except (NonFiniteGradientError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
 """Finite-difference verification of every analytic gradient coordinate.
 
-The composite loss (segmentation + property + consistency) is evaluated
-as a pure function of the parameter values; central differences with a
-small step probe each coordinate of each model parameter and of the
-relation matrix, and the result is compared against one reverse-mode
-pass. The geometry blocks are constants: their bytes must be identical
-before and after backward.
+The loss checked is the training loss itself, training.composite_loss
+(segmentation + property + consistency, and the segmentation loss on the
+adverse copy when seg_on_augmented is set), evaluated as a pure function
+of the parameter values; central differences with a small step probe
+each coordinate of each model parameter and of the relation matrix, and
+the result is compared against one reverse-mode pass. The geometry
+blocks are constants: their bytes must be identical before and after
+backward.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from geoseg.autodiff import GradientTape, Var, add, scale
-from geoseg.geometry_embedding import (
-    EmbeddingMatrix,
-    RelationMatrix,
-    embed_var,
-    geometry_consistency_loss,
-    geometry_property_loss,
-)
-from geoseg.network import BoundModel, PointNetLite, seg_loss
+from geoseg import training
+from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
+from geoseg.network import PointNetLite
 from geoseg.scenes import IGNORE_ID, LabelSet
 from geoseg.streams import substream
 
@@ -37,8 +33,7 @@ class GradCheckCase:
     labels: LabelSet
     points_aug: np.ndarray
     labels_aug: LabelSet
-    lambda1: float = 1.0
-    lambda2: float = 1.0
+    cfg: training.TrainConfig = training.TrainConfig()
 
 
 @dataclass
@@ -84,32 +79,16 @@ def _random_case(rng: np.random.Generator, max_points: int, feature_dim: int,
     return GradCheckCase(model, relation, embedding, points, labels, points_aug, labels_aug)
 
 
-def composite_loss(case: GradCheckCase) -> tuple[Var | None, GradientTape, BoundModel, Var]:
-    """Total loss on a fresh tape, returning the pieces needed for backward."""
-    tape = GradientTape()
-    bound = BoundModel(case.model, tape)
-    relation_var = tape.leaf(case.relation.values)
-    features, logits = bound.forward(case.points)
-    parts = []
-    seg = seg_loss(logits, case.labels)
-    if seg is not None:
-        parts.append(seg)
-    geometry = embed_var(features, case.embedding)
-    gpl = geometry_property_loss(geometry, relation_var, case.labels)
-    if gpl is not None:
-        parts.append(scale(gpl, case.lambda1))
-    features_aug, _ = bound.forward(case.points_aug)
-    gcl = geometry_consistency_loss(features_aug, case.embedding, relation_var, case.labels_aug)
-    if gcl is not None:
-        parts.append(scale(gcl, case.lambda2))
-    total = None
-    for part in parts:
-        total = part if total is None else add(total, part)
-    return total, tape, bound, relation_var
+def composite_loss(case: GradCheckCase) -> training.CompositeLoss:
+    """The training loss of the case on a fresh tape."""
+    return training.composite_loss(
+        case.model, case.relation, case.embedding, (case.points, case.labels),
+        (case.points_aug, case.labels_aug), case.cfg,
+    )
 
 
 def composite_loss_value(case: GradCheckCase) -> float:
-    total, _, _, _ = composite_loss(case)
+    total = composite_loss(case).total
     return float(total.value) if total is not None else 0.0
 
 
@@ -125,15 +104,14 @@ def check_case(
     embedding-bytes-identical flag).
     """
     before = hashlib.sha256(case.embedding.blocks.tobytes()).hexdigest()
-    total, tape, bound, relation_var = composite_loss(case)
-    if total is None:
+    loss = composite_loss(case)
+    if loss.total is None:
         return 0, 0.0, [], True
-    tape.backward(total)
+    analytic = loss.backward()
     untouched = hashlib.sha256(case.embedding.blocks.tobytes()).hexdigest() == before
 
     named = [(f"param{i}", arr) for i, arr in enumerate(case.model.parameters())]
     named.append(("relation", case.relation.values))
-    analytic = bound.gradients() + [relation_var.grad]
 
     checked = 0
     max_diff = 0.0

@@ -52,7 +52,6 @@ class MetricsReport:
     miou: float
     confusion: np.ndarray
     per_condition: dict[str, float] = field(default_factory=dict)
-    losses: dict[str, list[float]] | None = None
 
     @classmethod
     def from_confusion(cls, conf: np.ndarray) -> "MetricsReport":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geoseg.autodiff import GradientTape, Var, add_bias, masked_cross_entropy, matmul, tanh
+from geoseg.autodiff import GradientTape, Var, masked_cross_entropy
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.scenes import LabelSet
 
@@ -92,6 +92,19 @@ class PointNetLite:
         return out
 
 
+def forward_arrays(model: PointNetLite, points: np.ndarray) -> list[np.ndarray]:
+    """Scaled input, each trunk activation, then the logits, for (N, 4) points."""
+    x = np.array(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.in_dim:
+        raise ValueError(f"expected (N, {model.in_dim}) points, got {x.shape}")
+    x[:, :3] /= COORD_SCALE
+    acts = [x]
+    for w, b in zip(model.weights, model.biases):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    acts.append(acts[-1] @ model.head_weight + model.head_bias)
+    return acts
+
+
 class BoundModel:
     """Model parameters wrapped as leaves on one tape.
 
@@ -102,36 +115,39 @@ class BoundModel:
     def __init__(self, model: PointNetLite, tape: GradientTape):
         self.model = model
         self.tape = tape
-        self._w = [tape.leaf(w) for w in model.weights]
-        self._b = [tape.leaf(b) for b in model.biases]
-        self._hw = tape.leaf(model.head_weight)
-        self._hb = tape.leaf(model.head_bias)
+        self._params = [tape.leaf(p) for p in model.parameters()]
 
     def forward(self, points: np.ndarray) -> tuple[Var, Var]:
-        """Features and logits for an (N, 4) point array."""
-        x = np.array(points, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.model.in_dim:
-            raise ValueError(f"expected (N, {self.model.in_dim}) points, got {x.shape}")
-        x[:, :3] /= COORD_SCALE
-        h = self.tape.leaf(x)
-        for w, b in zip(self._w, self._b):
-            h = tanh(add_bias(matmul(h, w), b))
-        logits = add_bias(matmul(h, self._hw), self._hb)
-        return h, logits
+        """Features and logits for an (N, 4) point array, as one tape op."""
+        acts = forward_arrays(self.model, points)
+        features = Var(acts[-2], self.tape)
+        logits = Var(acts[-1], self.tape)
+        params = self._params
 
-    def param_vars(self) -> list[Var]:
-        out: list[Var] = []
-        for w, b in zip(self._w, self._b):
-            out.extend((w, b))
-        out.extend((self._hw, self._hb))
-        return out
+        def backward():
+            head_w, head_b = params[-2:]
+            g = logits.grad
+            head_b.grad += g.sum(axis=0)
+            head_w.grad += features.value.T @ g
+            g = features.grad + g @ head_w.value.T
+            for i in reversed(range(len(params) // 2 - 1)):
+                w, b = params[2 * i], params[2 * i + 1]
+                g = (1.0 - acts[i + 1] * acts[i + 1]) * g
+                b.grad += g.sum(axis=0)
+                w.grad += acts[i].T @ g
+                if i:
+                    g = g @ w.value.T
+
+        self.tape.record(backward)
+        return features, logits
 
     def gradients(self) -> list[np.ndarray]:
-        return [v.grad for v in self.param_vars()]
+        """Parameter gradients in PointNetLite.parameters() order."""
+        return [v.grad for v in self._params]
 
 
 def predict_logits(model: PointNetLite, points: np.ndarray) -> np.ndarray:
-    return BoundModel(model, GradientTape()).forward(points)[1].value
+    return forward_arrays(model, points)[-1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

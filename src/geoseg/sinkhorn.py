@@ -37,11 +37,9 @@ class SinkhornConfig:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Solved plan with the marginals it was asked to match."""
+    """Solved plan between uniform marginals, with solver diagnostics."""
 
     plan: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
     iters_used: int
     residual: float
 
@@ -95,13 +93,11 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
         iters_used = it
         if residual < cfg.tol:
             break
-    return TransportPlan(plan, a, b, iters_used, residual)
+    return TransportPlan(plan, iters_used, residual)
 
 
 def plan_marginal_residual(plan: TransportPlan) -> float:
-    """L1 distance of the plan's marginals from its target marginals."""
+    """L1 distance of the plan's marginals from the uniform 1/n and 1/m."""
     p = plan.plan
-    return float(
-        np.abs(p.sum(axis=1) - plan.row_marginal).sum()
-        + np.abs(p.sum(axis=0) - plan.col_marginal).sum()
-    )
+    n, m = p.shape
+    return float(np.abs(p.sum(axis=1) - 1.0 / n).sum() + np.abs(p.sum(axis=0) - 1.0 / m).sum())

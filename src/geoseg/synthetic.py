@@ -6,8 +6,8 @@ building walls. Per-class intensity bands are disjoint for the default
 table, so at severity zero classes are separable from intensity alone;
 the adverse shift (accumulation plus fog) makes the bands overlap and
 forces geometry to carry the signal. Coordinates are quantized to
-float32 at generation time so a write/read round trip through the binary
-format is bit-exact.
+float32 at generation time, and again after the shift, so a write/read
+round trip through the binary format is bit-exact.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def shift_scene(scene: Scene, cfg: SynthConfig, aug: AugmentationConfig, index: 
     rng = substream(cfg.seed, "shift", index)
     shifted, _ = matter_accumulation(scene, cfg.classes, eff, rng)
     shifted, _ = fog_attenuation(shifted, eff, rng)
-    return Scene(shifted.cloud, scene.labels, scene.id)
+    points = shifted.cloud.points.astype(np.float32).astype(np.float64)
+    return Scene(PointCloud(points), scene.labels, scene.id)
 
 
 def make_split(

@@ -3,13 +3,13 @@
 One train step follows a fixed order so that runs are bit-reproducible:
 
   1. standard augmentation per scene      (stream "std-aug", epoch, scene id)
-  2. forward on the augmented originals
-  3. segmentation cross-entropy
-  4. geometry embedding + property loss
-  5. adverse compound augmentation        (stream "pags", epoch, scene id)
-     + forward + consistency loss
-  6. backward, SGD update of model and relation matrix
-  7. momentum update of the per-class geometry blocks from reliable points
+  2. adverse compound augmentation        (stream "pags", epoch, scene id)
+     of the originals, when a loss uses it
+  3. the composite loss (composite_loss): forward on the originals,
+     segmentation cross-entropy, geometry embedding + property loss, then
+     forward on the adverse copy + consistency loss
+  4. backward, SGD update of model and relation matrix
+  5. momentum update of the per-class geometry blocks from reliable points
 
 Scenes of a batch are concatenated, so every loss is a mean over all
 points of the batch jointly. The embedding blocks are built from
@@ -19,7 +19,8 @@ original (non-augmented) features and receive no gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -115,6 +116,11 @@ class TrainConfig:
             sigma=self.sigma, max_iters=self.sinkhorn_iters, tol=self.sinkhorn_tol
         )
 
+    @property
+    def uses_adverse(self) -> bool:
+        """Whether a loss term reads the adversely augmented copy."""
+        return self.lambda2 > 0 or self.seg_on_augmented
+
 
 @dataclass
 class TrainState:
@@ -166,82 +172,97 @@ def _concat(scenes: list[Scene], ignore_id: int) -> tuple[np.ndarray, LabelSet]:
     return points, LabelSet(labels, ignore_id)
 
 
+@dataclass
+class CompositeLoss:
+    """The training objective on its own tape, with the pieces a step reads."""
+
+    total: Var | None
+    seg: Var | None
+    gpl: Var | None
+    gcl: Var | None
+    features: Var
+    logits: Var
+    geometry: Var | None
+    bound: BoundModel
+    relation: Var
+
+    def backward(self) -> list[np.ndarray]:
+        """Gradients of total: model parameters in order, then the relation matrix."""
+        self.bound.tape.backward(self.total)
+        return self.bound.gradients() + [self.relation.grad]
+
+
+def composite_loss(
+    model: PointNetLite,
+    relation: RelationMatrix,
+    embedding: EmbeddingMatrix,
+    batch: tuple[np.ndarray, LabelSet],
+    adverse: tuple[np.ndarray, LabelSet] | None,
+    cfg: TrainConfig,
+) -> CompositeLoss:
+    """Segmentation loss, plus lambda1 x property loss, plus on the adverse
+    batch (required when cfg.uses_adverse) lambda2 x consistency loss and,
+    with seg_on_augmented, its segmentation loss.
+
+    A term is built only when its gate is on; a term without valid points
+    is left out, and total is None when every term is.
+    """
+    tape = GradientTape()
+    bound = BoundModel(model, tape)
+    relation_var = tape.leaf(relation.values)
+    points, labels = batch
+    features, logits = bound.forward(points)
+    seg = seg_loss(logits, labels)
+    geometry = gpl = gcl = seg_aug = None
+    if cfg.lambda1 > 0:
+        geometry = embed_var(features, embedding)
+        gpl = geometry_property_loss(geometry, relation_var, labels)
+    if cfg.uses_adverse:
+        points_aug, labels_aug = adverse
+        features_aug, logits_aug = bound.forward(points_aug)
+        if cfg.lambda2 > 0:
+            gcl = geometry_consistency_loss(features_aug, embedding, relation_var, labels_aug)
+        if cfg.seg_on_augmented:
+            seg_aug = seg_loss(logits_aug, labels_aug)
+    parts = [p for p in (seg, seg_aug) if p is not None]
+    parts += [scale(p, w) for p, w in ((gpl, cfg.lambda1), (gcl, cfg.lambda2)) if p is not None]
+    total = reduce(add, parts) if parts else None
+    return CompositeLoss(total, seg, gpl, gcl, features, logits, geometry, bound, relation_var)
+
+
 def train_step(
     state: TrainState, batch: list[Scene], cfg: TrainConfig, epoch: int
 ) -> StepLosses:
     """One optimization step over a batch of scenes."""
-    table = state.table
     ignore_id = batch[0].labels.ignore_id if batch else 0xFFFF
-    aug_cfg = cfg.augmentation()
-    use_geometry = cfg.lambda1 > 0 or cfg.lambda2 > 0
-    use_adverse = cfg.lambda2 > 0 or cfg.seg_on_augmented
-
     originals = [
         standard_augment(s, substream(cfg.seed, "std-aug", epoch, s.id)) for s in batch
     ]
     points, labels = _concat(originals, ignore_id)
-
-    tape = GradientTape()
-    bound = BoundModel(state.model, tape)
-    relation_var = tape.leaf(state.relation.values)
-    features, logits = bound.forward(points)
-
-    seg = seg_loss(logits, labels)
-
-    geometry_values = None
-    gpl = None
-    if cfg.lambda1 > 0:
-        geometry = embed_var(features, state.embedding)
-        geometry_values = geometry.value
-        gpl = geometry_property_loss(geometry, relation_var, labels)
-
-    gcl = None
-    seg_aug = None
-    if use_adverse:
-        adverse = [
-            compound_augment(s, table, aug_cfg, substream(cfg.seed, "pags", epoch, s.id))[0]
+    adverse = None
+    if cfg.uses_adverse:
+        aug_cfg = cfg.augmentation()
+        adverse = _concat([
+            compound_augment(s, state.table, aug_cfg, substream(cfg.seed, "pags", epoch, s.id))[0]
             for s in originals
-        ]
-        points_aug, labels_aug = _concat(adverse, ignore_id)
-        features_aug, logits_aug = bound.forward(points_aug)
-        if cfg.lambda2 > 0:
-            gcl = geometry_consistency_loss(
-                features_aug, state.embedding, relation_var, labels_aug
-            )
-        if cfg.seg_on_augmented:
-            seg_aug = seg_loss(logits_aug, labels_aug)
+        ], ignore_id)
 
-    parts: list[Var] = []
-    if seg is not None:
-        parts.append(seg)
-    if seg_aug is not None:
-        parts.append(seg_aug)
-    if gpl is not None:
-        parts.append(scale(gpl, cfg.lambda1))
-    if gcl is not None:
-        parts.append(scale(gcl, cfg.lambda2))
-
-    def val(v: Var | None) -> float:
-        return float(v.value) if v is not None else math.nan
-
-    if not parts:
+    loss = composite_loss(
+        state.model, state.relation, state.embedding, (points, labels), adverse, cfg
+    )
+    if loss.total is None:
         state.skipped_steps += 1
         state.step_count += 1
         return StepLosses(math.nan, math.nan, math.nan, math.nan, skipped=True)
-
-    total = parts[0]
-    for part in parts[1:]:
-        total = add(total, part)
-    tape.backward(total)
-
     params = state.model.parameters() + [state.relation.values]
-    grads = bound.gradients() + [relation_var.grad]
-    sgd_step(state.sgd, params, grads)
+    sgd_step(state.sgd, params, loss.backward())
 
-    if use_geometry and labels.n:
-        if geometry_values is None:
-            geometry_values = embed(features.value, state.embedding)
-        predictions = np.argmax(logits.value, axis=1)
+    if (cfg.lambda1 > 0 or cfg.lambda2 > 0) and labels.n:
+        geometry_values = (
+            embed(loss.features.value, state.embedding)
+            if loss.geometry is None else loss.geometry.value
+        )
+        predictions = np.argmax(loss.logits.value, axis=1)
         raw = labels.labels
         present = np.unique(raw[raw != ignore_id])
         updates = {}
@@ -263,14 +284,17 @@ def train_step(
                 indices=rel,
                 negate_cost=cfg.negate_plan_cost,
             )
-            update = class_update(features.value, plan, rel)
+            update = class_update(loss.features.value, plan, rel)
             if update is not None:
                 updates[class_id] = update
         if updates:
             momentum_update(state.embedding, updates, cfg.epsilon)
 
+    def val(v: Var | None) -> float:
+        return float(v.value) if v is not None else math.nan
+
     state.step_count += 1
-    return StepLosses(val(seg), val(gpl), val(gcl), float(total.value))
+    return StepLosses(val(loss.seg), val(loss.gpl), val(loss.gcl), float(loss.total.value))
 
 
 @dataclass

@@ -13,7 +13,14 @@ from geoseg.cli import (
     run_cli,
 )
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
-from geoseg.network import PointNetLite, save_checkpoint
+from geoseg import cli
+from geoseg.network import (
+    CheckpointFormatError,
+    NonFiniteGradientError,
+    PointNetLite,
+    save_checkpoint,
+)
+from geoseg.scenes import SceneFormatError
 from geoseg.streams import substream
 from geoseg.training import TrainConfig, ablation_base_config
 
@@ -200,6 +207,7 @@ def test_ablate_tiny_battery_writes_table_and_json(tmp_path, capsys):
     payload = json.loads((out / "ablation.json").read_text())
     assert [entry["variant"] for entry in payload] == ["baseline", "cge", "full"]
     assert all(len(entry["epoch_totals"]) == 1 for entry in payload)
+    assert "elapsed_seconds = " in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ exit codes
@@ -210,6 +218,24 @@ def test_usage_failures_exit_one(tmp_path, capsys):
     assert run_cli(["synth"]) == 1  # missing required --out
     assert run_cli(["train", "--data", str(tmp_path / "nowhere")]) == 1
     assert "data directory not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (UsageError, 1, "error: "),
+    (SceneFormatError, 1, "error: "),
+    (CheckpointFormatError, 1, "error: "),
+    (ValueError, 1, "error: "),
+    (OSError, 1, "error: "),
+    (NonFiniteGradientError, 2, "numeric failure: "),
+    (FloatingPointError, 2, "numeric failure: "),
+])
+def test_subcommand_exceptions_map_to_exit_codes(exc, code, prefix, monkeypatch, capsys):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert run_cli(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
 
 
 def test_help_exits_zero(capsys):

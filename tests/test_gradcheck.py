@@ -13,9 +13,10 @@ from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.network import PointNetLite
 from geoseg.scenes import LabelSet
 from geoseg.streams import substream
+from geoseg.training import TrainConfig
 
 
-def small_case(seed=0, lambda1=1.0, lambda2=1.0) -> GradCheckCase:
+def small_case(seed=0, **gates) -> GradCheckCase:
     rng = substream(seed, "case")
     n = 6
     model = PointNetLite.create(3, widths=(4, 4), rng=rng)
@@ -30,16 +31,20 @@ def small_case(seed=0, lambda1=1.0, lambda2=1.0) -> GradCheckCase:
     embedding = EmbeddingMatrix.initial(3, 4, 2, rng=rng)
     relation = RelationMatrix.initial(3, 2, rng=rng)
     return GradCheckCase(
-        model, relation, embedding, pts, labels, pts_aug, labels_aug, lambda1, lambda2
+        model, relation, embedding, pts, labels, pts_aug, labels_aug, TrainConfig(**gates)
     )
 
 
 def test_loss_combinations_all_pass_finite_differences():
-    # Segmentation only, plus property loss, plus consistency loss.
-    for lambda1, lambda2 in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
-        checked, max_diff, failures, untouched = check_case(
-            small_case(lambda1=lambda1, lambda2=lambda2)
-        )
+    # Segmentation only, plus property loss, plus consistency loss, plus
+    # segmentation on the adverse copy.
+    for gates in (
+        dict(lambda1=0.0, lambda2=0.0),
+        dict(lambda1=1.0, lambda2=0.0),
+        dict(lambda1=1.0, lambda2=1.0),
+        dict(lambda1=1.0, lambda2=1.0, seg_on_augmented=True),
+    ):
+        checked, max_diff, failures, untouched = check_case(small_case(**gates))
         assert checked > 0
         assert failures == []
         assert untouched
@@ -54,11 +59,11 @@ def test_composite_loss_value_is_pure():
 
 def test_composite_loss_parts_share_one_tape():
     case = small_case()
-    total, tape, bound, relation_var = composite_loss(case)
-    assert total is not None
-    tape.backward(total)
-    assert any(np.any(g != 0.0) for g in bound.gradients())
-    assert np.any(relation_var.grad != 0.0)
+    loss = composite_loss(case)
+    assert loss.total is not None
+    *model_grads, relation_grad = loss.backward()
+    assert any(np.any(g != 0.0) for g in model_grads)
+    assert np.any(relation_grad != 0.0)
 
 
 def test_blocks_bytes_stable_through_check(rng):

@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape
+from geoseg.autodiff import GradientTape, Var
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.network import (
     COORD_SCALE,
@@ -78,6 +79,24 @@ def test_forward_matches_scalar_oracle(rng):
         h, z = scalar_forward_oracle(model, points[i])
         assert_allclose(features.value[i], h, atol=1e-12)
         assert_allclose(logits.value[i], z, atol=1e-12)
+
+
+def test_predict_logits_builds_no_tape_and_leaves_no_cycles(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("inference must not record on a tape")
+
+    monkeypatch.setattr(GradientTape, "__init__", refuse)
+    monkeypatch.setattr(Var, "__init__", refuse)
+    model = tiny_model()
+    points = rng.uniform(-40, 40, size=(8, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        logits = predict_logits(model, points)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert logits.shape == (8, 3)
 
 
 def test_forward_is_permutation_equivariant(rng):

@@ -83,9 +83,7 @@ def test_nonconvergence_is_reported_not_raised(rng):
 
 
 def test_exact_product_plan_has_zero_residual():
-    plan = TransportPlan(
-        np.full((2, 3), 1.0 / 6.0), np.full(2, 0.5), np.full(3, 1.0 / 3.0), 0, 0.0
-    )
+    plan = TransportPlan(np.full((2, 3), 1.0 / 6.0), 0, 0.0)
     assert plan_marginal_residual(plan) == 0.0
 
 
@@ -93,7 +91,7 @@ def test_single_entry_perturbation_doubles_in_residual():
     eps = 1e-6
     base = np.full((2, 3), 1.0 / 6.0)
     base[0, 1] += eps
-    plan = TransportPlan(base, np.full(2, 0.5), np.full(3, 1.0 / 3.0), 0, 0.0)
+    plan = TransportPlan(base, 0, 0.0)
     assert plan_marginal_residual(plan) == pytest.approx(2.0 * eps, rel=1e-9)
 
 

@@ -88,15 +88,18 @@ def test_coordinates_respect_extent_and_intensity_bands():
 
 
 def test_points_are_float32_exact_and_round_trip(tmp_path):
-    cfg = SynthConfig(points_per_scene=150)
-    scene = generate_scene(cfg, 2)
-    assert_array_equal(
-        scene.cloud.points, scene.cloud.points.astype(np.float32).astype(np.float64)
-    )
-    write_scene(tmp_path, scene)
-    back = read_scene(tmp_path, scene.id, cfg.classes)
-    assert back.cloud.points.tobytes() == scene.cloud.points.tobytes()
-    assert_array_equal(back.labels.labels, scene.labels.labels)
+    cfg = SynthConfig(points_per_scene=150, shift_severity=1.5)
+    clean = generate_scene(cfg, 2)
+    shifted = shift_scene(clean, cfg, AugmentationConfig(), 2)
+    assert shifted.cloud.points.tobytes() != clean.cloud.points.tobytes()
+    for scene, root in ((clean, tmp_path / "clean"), (shifted, tmp_path / "shifted")):
+        assert_array_equal(
+            scene.cloud.points, scene.cloud.points.astype(np.float32).astype(np.float64)
+        )
+        write_scene(root, scene)
+        back = read_scene(root, scene.id, cfg.classes)
+        assert back.cloud.points.tobytes() == scene.cloud.points.tobytes()
+        assert_array_equal(back.labels.labels, scene.labels.labels)
 
 
 def test_shift_severity_zero_returns_scene_unchanged():
