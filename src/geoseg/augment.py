@@ -154,19 +154,17 @@ def compound_augment(
     """
     eta1 = bool(rng.random() < cfg.beta1)
     eta2 = bool(rng.random() < cfg.beta2)
-    report = AugmentationReport()
-    out = scene
+    out, report = scene, AugmentationReport()
     if eta1:
-        out, r1 = matter_accumulation(out, table, cfg, rng)
-        report.psi1_applied = True
-        report.points_accumulated = r1.points_accumulated
-        report.height_samples = r1.height_samples
-        report.gamma_samples = r1.gamma_samples
+        out, report = matter_accumulation(out, table, cfg, rng)
     if eta2:
-        out, r2 = fog_attenuation(out, cfg, rng)
-        report.psi2_applied = True
-        report.labels_masked = r2.labels_masked
-        report.fog_alpha = r2.fog_alpha
+        out, fog = fog_attenuation(out, cfg, rng)
+        report = replace(
+            report,
+            psi2_applied=fog.psi2_applied,
+            labels_masked=fog.labels_masked,
+            fog_alpha=fog.fog_alpha,
+        )
     return out, report
 
 

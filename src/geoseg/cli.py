@@ -33,13 +33,7 @@ from geoseg.scenes import (
     write_scene,
 )
 from geoseg.streams import substream
-from geoseg.synthetic import (
-    TEST_INDEX_BASE,
-    SynthConfig,
-    default_class_table,
-    generate_scene,
-    shift_scene,
-)
+from geoseg.synthetic import SynthConfig, default_class_table, make_split
 from geoseg.training import (
     TrainConfig,
     ablation_base_config,
@@ -161,24 +155,19 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    table = default_class_table()
     cfg = SynthConfig(
-        classes=table,
         points_per_scene=args.points,
         scene_extent=args.extent,
         shift_severity=args.severity,
         seed=args.seed,
     )
     out = Path(args.out)
-    aug = AugmentationConfig()
-    for i in range(args.scenes):
-        if args.severity > 0:
-            scene = generate_scene(cfg, TEST_INDEX_BASE + i)
-            scene = shift_scene(scene, cfg, aug, i)
-        else:
-            scene = generate_scene(cfg, i)
-        scene = Scene(scene.cloud, scene.labels, f"{i:06d}")
-        write_scene(out, scene)
+    if args.severity > 0:
+        _, scenes = make_split(cfg, 0, args.scenes)
+    else:
+        scenes, _ = make_split(cfg, args.scenes, 0)
+    for i, scene in enumerate(scenes):
+        write_scene(out, Scene(scene.cloud, scene.labels, f"{i:06d}"))
     print(f"scenes = {args.scenes}")
     print(f"points_per_scene = {args.points}")
     print(f"out = {out}")
@@ -250,13 +239,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     bad = set(overrides) - aug_fields
     if bad:
         raise UsageError(f"not augmentation keys: {sorted(bad)}")
-    kwargs = {}
-    for key, sval in overrides.items():
-        kwargs[key] = _PARSERS[TRAIN_KEYS[key]](sval)
-    try:
-        cfg = AugmentationConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = build_train_config(None, overrides).augmentation()
     rng = substream(cfg.seed, "pags", scene.id)
     augmented, report = compound_augment(scene, table, cfg, rng)
     out = Path(args.out)
@@ -310,16 +293,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = Path(args.out)
         _write_lines(out / "ablation.txt", lines)
-        payload = [
-            {
-                "variant": r.variant,
-                "seed": r.seed,
-                "miou": r.miou,
-                "tta_miou": r.tta_miou,
-                "epoch_totals": r.epoch_totals,
-            }
-            for r in result.runs
-        ]
+        payload = [dataclasses.asdict(r) for r in result.runs]
         out.mkdir(parents=True, exist_ok=True)
         (out / "ablation.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -7,7 +7,7 @@ cannot dilute the mean. Ignored points contribute to nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,12 @@ def iou_from_confusion(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]
 
 @dataclass
 class MetricsReport:
-    """Evaluation summary; per_condition holds named extra mIoUs (e.g. severities)."""
+    """Evaluation summary: per-class IoU, GT presence, mIoU and the confusion matrix."""
 
     per_class_iou: np.ndarray
     present: np.ndarray
     miou: float
     confusion: np.ndarray
-    per_condition: dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def from_confusion(cls, conf: np.ndarray) -> "MetricsReport":
@@ -69,8 +68,6 @@ class MetricsReport:
             else:
                 out.append(f"iou_{names[i]} = absent")
         out.append(f"miou = {self.miou:.6f}")
-        for key in sorted(self.per_condition):
-            out.append(f"{key} = {self.per_condition[key]:.6f}")
         return out
 
     def to_json_dict(self) -> dict:
@@ -80,5 +77,4 @@ class MetricsReport:
                 for i in range(self.per_class_iou.shape[0])
             ],
             "miou": self.miou,
-            "per_condition": dict(self.per_condition),
         }

@@ -56,12 +56,10 @@ from geoseg.network import (
 from geoseg.scenes import ClassTable, LabelSet, PointCloud, Scene
 from geoseg.sinkhorn import SinkhornConfig
 from geoseg.streams import substream
-from geoseg.synthetic import SynthConfig, generate_scene, make_split, shift_scene
+from geoseg.synthetic import SynthConfig, make_split
 
 TTA_ROTATIONS_DEG = (0.0, 90.0, 180.0, 270.0)
 TTA_SCALES = (0.95, 1.0, 1.05)
-
-EVAL_SEVERITIES = (0.5, 1.0, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,20 @@ class TrainConfig:
     accumulate_all: bool = False
     seed: int = 0
     out_dir: str = "runs/default"
+
+    def __post_init__(self):
+        if not self.widths or min(self.widths) < 1:
+            raise ValueError(f"widths must be non-empty and positive, got {self.widths}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("batch_size", "geom_props"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        # The sub-configs validate their own fields.
+        self.augmentation()
+        self.sinkhorn()
 
     def augmentation(self) -> AugmentationConfig:
         return AugmentationConfig(
@@ -387,29 +399,6 @@ def evaluate(
     return MetricsReport.from_confusion(conf)
 
 
-def evaluate_severities(
-    model: PointNetLite,
-    synth_cfg: SynthConfig,
-    n_test: int,
-    severities: tuple[float, ...] = EVAL_SEVERITIES,
-    aug: AugmentationConfig | None = None,
-    tta: bool = False,
-) -> dict[str, float]:
-    """mIoU of freshly generated shifted test sets at several severities."""
-    if aug is None:
-        aug = AugmentationConfig()
-    out = {}
-    for severity in severities:
-        cfg_s = replace(synth_cfg, shift_severity=severity)
-        scenes = []
-        for j in range(n_test):
-            scene = generate_scene(cfg_s, 1_000_000 + j)
-            scenes.append(shift_scene(scene, cfg_s, aug, j))
-        report = evaluate(model, scenes, synth_cfg.classes, tta=tta)
-        out[f"miou_severity_{severity:g}"] = report.miou
-    return out
-
-
 VARIANTS = ("baseline", "cge", "full")
 
 
@@ -441,7 +430,6 @@ class AblationRun:
     miou: float
     tta_miou: float
     epoch_totals: list[float]
-    per_class_iou: np.ndarray
 
 
 @dataclass
@@ -453,9 +441,6 @@ class AblationResult:
             (r.tta_miou if tta else r.miou) for r in self.runs if r.variant == variant
         ]
         return float(np.mean(vals)) if vals else math.nan
-
-    def seeds(self) -> list[int]:
-        return sorted({r.seed for r in self.runs})
 
     def table_lines(self) -> list[str]:
         """Structured text summary, one `name = value` per line."""
@@ -496,22 +481,13 @@ def run_ablation(
         for variant in variants:
             cfg = variant_config(replace(base_cfg, seed=seed), variant)
             result = train(cfg, train_scenes, scfg.classes)
-            report = evaluate(result.state.model, test_scenes, scfg.classes)
+            miou = evaluate(result.state.model, test_scenes, scfg.classes).miou
             tta_miou = (
                 evaluate(result.state.model, test_scenes, scfg.classes, tta=True).miou
                 if tta_eval
                 else math.nan
             )
-            runs.append(
-                AblationRun(
-                    variant,
-                    seed,
-                    report.miou,
-                    tta_miou,
-                    [e["total"] for e in result.epoch_losses],
-                    report.per_class_iou,
-                )
-            )
+            runs.append(AblationRun(variant, seed, miou, tta_miou, result.epoch_totals))
             if progress is not None:
                 progress(runs[-1])
     return AblationResult(runs)

@@ -18,11 +18,13 @@ from geoseg.network import (
     CheckpointFormatError,
     NonFiniteGradientError,
     PointNetLite,
+    load_checkpoint,
     save_checkpoint,
 )
-from geoseg.scenes import SceneFormatError
+from geoseg.scenes import SceneFormatError, read_scene
 from geoseg.streams import substream
-from geoseg.training import TrainConfig, ablation_base_config
+from geoseg.synthetic import SynthConfig, default_class_table, make_split
+from geoseg.training import TrainConfig, ablation_base_config, evaluate
 
 FAST_TRAIN = [
     "--epochs", "1", "--widths", "6,4", "--geom_props", "2",
@@ -186,6 +188,39 @@ def test_augment_rejects_training_only_keys(tmp_path, capsys):
     ])
     assert code == 1
     assert "not augmentation keys" in capsys.readouterr().err
+    code = run_cli([
+        "augment", "--data", str(data), "--stem", "000000",
+        "--out", str(tmp_path / "aug"), "--beta1", "2",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: beta1 must be in [0, 1]")
+
+
+@pytest.mark.parametrize("tta", [False, True])
+def test_severity_sweep_is_synth_then_eval(tta, tmp_path):
+    data = make_dataset(tmp_path, scenes=4)
+    run_dir = tmp_path / "run"
+    assert run_cli(["train", "--data", str(data), "--out", str(run_dir)] + FAST_TRAIN) == 0
+    model, _, _ = load_checkpoint(run_dir / "checkpoint.gseg")
+    table = default_class_table()
+    for severity in (0.5, 2.0):
+        shifted = tmp_path / f"shifted-{severity}"
+        report = tmp_path / f"report-{severity}.json"
+        assert run_cli([
+            "synth", "--out", str(shifted), "--scenes", "3", "--points", "40",
+            "--severity", str(severity),
+        ]) == 0
+        assert run_cli([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.gseg"),
+            "--data", str(shifted), "--json", str(report),
+        ] + (["--tta"] if tta else [])) == 0
+        _, expected = make_split(SynthConfig(points_per_scene=40, shift_severity=severity), 0, 3)
+        for i, scene in enumerate(expected):
+            written = read_scene(shifted, f"{i:06d}", table)
+            assert written.cloud.points.tobytes() == scene.cloud.points.tobytes()
+            assert written.labels.labels.tobytes() == scene.labels.labels.tobytes()
+        want = evaluate(model, expected, table, tta=tta).miou
+        assert json.loads(report.read_text())["miou"] == want
 
 
 def test_gradcheck_command_passes(capsys):
@@ -236,6 +271,19 @@ def test_subcommand_exceptions_map_to_exit_codes(exc, code, prefix, monkeypatch,
     monkeypatch.setattr(cli, "cmd_gradcheck", fail)
     assert run_cli(["gradcheck"]) == code
     assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+@pytest.mark.parametrize("flag", [
+    "--widths=", "--batch_size=0", "--geom_props=0", "--epochs=-1", "--lr=nan", "--sigma=0",
+])
+def test_train_rejects_a_bad_config_before_writing(flag, tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN + [flag])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "checkpoint.gseg").exists()
 
 
 def test_help_exits_zero(capsys):
