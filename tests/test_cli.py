@@ -155,7 +155,7 @@ def test_eval_rejects_class_count_mismatch(tmp_path, capsys):
     model = PointNetLite.create(4, (6, 4), rng=substream(0, "init-model"))
     relation = RelationMatrix.initial(4, 2, rng=substream(0, "init-relation"))
     embedding = EmbeddingMatrix.initial(
-        4, model.feature_dim, 2, epsilon=0.5, rng=substream(0, "init-embedding")
+        4, model.feature_dim, 2, rng=substream(0, "init-embedding")
     )
     ckpt = tmp_path / "four.gseg"
     save_checkpoint(ckpt, model, relation, embedding)
@@ -194,6 +194,18 @@ def test_augment_rejects_training_only_keys(tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: beta1 must be in [0, 1]")
+
+
+@pytest.mark.parametrize("flag", [
+    "--fog_threshold=nan", "--fog_alpha_max=nan", "--h2=inf", "--gamma2=inf",
+])
+def test_augment_rejects_a_non_finite_key(flag, tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    out = tmp_path / "aug"
+    code = run_cli(["augment", "--data", str(data), "--stem", "000000", "--out", str(out), flag])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:].split('=')[0]} must be finite")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tta", [False, True])
@@ -275,6 +287,8 @@ def test_subcommand_exceptions_map_to_exit_codes(exc, code, prefix, monkeypatch,
 
 @pytest.mark.parametrize("flag", [
     "--widths=", "--batch_size=0", "--geom_props=0", "--epochs=-1", "--lr=nan", "--sigma=0",
+    "--momentum=nan", "--weight_decay=nan", "--lambda1=-1", "--lambda2=nan", "--epsilon=2",
+    "--fog_threshold=nan", "--fog_alpha_max=nan", "--h2=inf",
 ])
 def test_train_rejects_a_bad_config_before_writing(flag, tmp_path, capsys):
     data = make_dataset(tmp_path)

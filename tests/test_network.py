@@ -238,12 +238,11 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     model, relation, embedding = make_bundle()
     path = tmp_path / "m.gseg"
     save_checkpoint(path, model, relation, embedding)
-    back_model, back_relation, back_embedding = load_checkpoint(path, epsilon=0.5)
+    back_model, back_relation, back_embedding = load_checkpoint(path)
     for a, b in zip(model.parameters(), back_model.parameters()):
         assert a.tobytes() == b.tobytes()
     assert relation.values.tobytes() == back_relation.values.tobytes()
     assert embedding.blocks.tobytes() == back_embedding.blocks.tobytes()
-    assert back_embedding.epsilon == 0.5
     assert back_model.widths == model.widths
 
 
