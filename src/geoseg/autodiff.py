@@ -1,13 +1,14 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
-Deliberately tiny: only the ops the training loss needs on top of the
-network's own fused forward op (network.BoundModel.forward): matmul,
-matmul_const, add, scale and masked_cross_entropy. Each op
-computes its value eagerly and pushes a closure onto the tape;
-GradientTape.backward seeds the scalar target with gradient 1 and
-replays the closures in reverse, accumulating into Var.grad. Gradients
-of untouched leaves stay exactly zero. Constant arrays (anything passed
-as a plain ndarray) never receive gradients.
+Deliberately tiny: the fused layers (network.BoundModel.forward and
+geometry_embedding.embed_var) record their own backward closures, and
+this module adds only the two ops the training loss needs on top of
+them: masked_cross_entropy and weighted_sum, the weighted total of the
+loss terms. Each op computes its value eagerly and pushes a closure onto
+the tape; GradientTape.backward seeds the scalar target with gradient 1
+and replays the closures in reverse, accumulating into Var.grad.
+Gradients of untouched leaves stay exactly zero. Constant arrays
+(anything passed as a plain ndarray) never receive gradients.
 """
 
 from __future__ import annotations
@@ -54,48 +55,21 @@ class Var:
         self.tape = tape
 
 
-def matmul(a: Var, b: Var) -> Var:
-    out = Var(a.value @ b.value, a.tape)
+def weighted_sum(terms: list[tuple[Var, float]]) -> Var:
+    """sum_i w_i * x_i over scalar Vars, added left to right.
+
+    A lone weight-1 term is returned as is, so it adds no Var to the tape.
+    """
+    if len(terms) == 1 and terms[0][1] == 1.0:
+        return terms[0][0]
+    parts = [w * v.value for v, w in terms]
+    out = Var(sum(parts[1:], parts[0]), terms[0][0].tape)
 
     def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        for v, w in terms:
+            v.grad += w * out.grad
 
-    a.tape.record(backward)
-    return out
-
-
-def matmul_const(a: Var, const: np.ndarray) -> Var:
-    """a @ const where const is held fixed; no gradient flows into const."""
-    const = np.asarray(const, dtype=np.float64)
-    out = Var(a.value @ const, a.tape)
-
-    def backward():
-        a.grad += out.grad @ const.T
-
-    a.tape.record(backward)
-    return out
-
-
-def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, a.tape)
-
-    def backward():
-        a.grad += out.grad
-        b.grad += out.grad
-
-    a.tape.record(backward)
-    return out
-
-
-def scale(a: Var, factor: float) -> Var:
-    factor = float(factor)
-    out = Var(a.value * factor, a.tape)
-
-    def backward():
-        a.grad += factor * out.grad
-
-    a.tape.record(backward)
+    out.tape.record(backward)
     return out
 
 

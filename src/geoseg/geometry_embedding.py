@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from geoseg.autodiff import Var, masked_cross_entropy, matmul, matmul_const
+from geoseg.autodiff import Var, masked_cross_entropy
 from geoseg.scenes import LabelSet
 from geoseg.sinkhorn import SinkhornConfig, TransportPlan, solve
 
@@ -102,10 +102,23 @@ def embed(features: np.ndarray, embedding: EmbeddingMatrix) -> np.ndarray:
     return (features @ embedding.flat2d()).reshape(n, c, m)
 
 
-def embed_var(features: Var, embedding: EmbeddingMatrix) -> Var:
-    """Differentiable embed, flat (N, C*M) in flat2d's column order; the
-    embedding is a constant, gradients reach features only."""
-    return matmul_const(features, embedding.flat2d())
+def embed_var(features: Var, embedding: EmbeddingMatrix, relation: Var) -> tuple[np.ndarray, Var]:
+    """Flat geometry G = F @ flat2d(), shape (N, C*M) in flat2d's column
+    order, as a plain array, and the relation logits G @ Q as one tape op.
+
+    The embedding is a constant: gradients reach the features and the
+    relation matrix only.
+    """
+    flat = embedding.flat2d()
+    geometry = features.value @ flat
+    logits = Var(geometry @ relation.value, features.tape)
+
+    def backward():
+        relation.grad += geometry.T @ logits.grad
+        features.grad += (logits.grad @ relation.value.T) @ flat.T
+
+    features.tape.record(backward)
+    return geometry, logits
 
 
 def class_plan(
@@ -163,13 +176,12 @@ def momentum_update(
     return embedding
 
 
-def geometry_property_loss(geometry: Var, relation: Var, labels: LabelSet) -> Var | None:
-    """Cross-entropy of softmax(G @ Q) against labels, G the flat (N, C*M)
-    geometry of embed_var.
+def geometry_property_loss(logits: Var, labels: LabelSet) -> Var | None:
+    """Cross-entropy of softmax(G @ Q) against labels, given the relation
+    logits G @ Q of embed_var.
 
     Mean over non-ignored points; None when every point is ignored.
     """
-    logits = matmul(geometry, relation)
     return masked_cross_entropy(logits, labels.labels, labels.ignore_id)
 
 
@@ -180,5 +192,5 @@ def geometry_consistency_loss(
     labels_aug: LabelSet,
 ) -> Var | None:
     """Property loss on augmented features embedded with the clean-data blocks."""
-    geometry = embed_var(features_aug, embedding)
-    return geometry_property_loss(geometry, relation, labels_aug)
+    _, logits = embed_var(features_aug, embedding, relation)
+    return geometry_property_loss(logits, labels_aug)

@@ -9,6 +9,7 @@ numpy arrays updated in place by heavy-ball SGD.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -201,8 +202,12 @@ def save_checkpoint(
 
     Header uint32s: D, C, M, L (trunk layer count), then the L+1 layer
     widths from input to feature dim. Payload arrays follow in declaration
-    order: model parameters, relation values, embedding blocks.
+    order: model parameters, relation values, embedding blocks. Raises
+    FloatingPointError, and writes nothing, if any value is not finite.
     """
+    arrays = [*model.parameters(), relation.values, embedding.blocks]
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise FloatingPointError("refusing to save a checkpoint with non-finite values")
     d = model.feature_dim
     c = model.num_classes
     m = embedding.num_properties
@@ -212,18 +217,20 @@ def save_checkpoint(
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("B", CHECKPOINT_VERSION)
     blob += np.asarray(header, dtype="<u4").tobytes()
-    for arr in model.parameters():
+    for arr in arrays:
         blob += arr.astype("<f8").tobytes()
-    blob += relation.values.astype("<f8").tobytes()
-    for block in embedding.blocks:
-        blob += block.astype("<f8").tobytes()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> tuple[PointNetLite, RelationMatrix, EmbeddingMatrix]:
-    """Inverse of save_checkpoint."""
+    """Inverse of save_checkpoint.
+
+    Raises CheckpointFormatError for anything save_checkpoint cannot
+    write: a bad magic or version, a zero dimension, a truncated or
+    overlong file, or a non-finite value.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 5 or data[:4] != CHECKPOINT_MAGIC:
@@ -243,16 +250,19 @@ def load_checkpoint(path: str | Path) -> tuple[PointNetLite, RelationMatrix, Emb
 
     d, c, m, n_layers = (int(v) for v in take_u32(4))
     dims = [int(v) for v in take_u32(n_layers + 1)]
+    if 0 in (c, m, n_layers, *dims):
+        raise CheckpointFormatError(f"{path}: zero dimension in header {[c, m, n_layers, *dims]}")
     if dims[-1] != d:
         raise CheckpointFormatError(f"{path}: feature dim {d} does not match widths {dims}")
 
     def take_f64(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal off
-        count = int(np.prod(shape)) if shape else 1
-        end = off + 8 * count
+        end = off + 8 * math.prod(shape)
         if end > len(data):
             raise CheckpointFormatError(f"{path}: truncated payload at byte {off}")
         out = np.frombuffer(data[off:end], dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(out)):
+            raise CheckpointFormatError(f"{path}: non-finite value in the payload at byte {off}")
         off = end
         return out
 

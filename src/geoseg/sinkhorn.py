@@ -80,9 +80,6 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
 
     # v = 1 start, i.e. g = 0; f is overwritten before first use.
     g = np.zeros(m)
-    plan = np.exp(log_k)
-    iters_used = 0
-    residual = np.inf
     for it in range(1, cfg.max_iters + 1):
         f = log_a - _logsumexp(log_k + g[None, :], axis=1)
         g = log_b - _logsumexp(log_k + f[:, None], axis=0)

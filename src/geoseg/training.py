@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from geoseg.augment import (
     rotate_z,
     standard_augment,
 )
-from geoseg.autodiff import GradientTape, Var, add, scale
+from geoseg.autodiff import GradientTape, Var, weighted_sum
 from geoseg.geometry_embedding import (
     EmbeddingMatrix,
     RelationMatrix,
@@ -197,7 +196,7 @@ class CompositeLoss:
     gcl: Var | None
     features: Var
     logits: Var
-    geometry: Var | None
+    geometry: np.ndarray | None
     bound: BoundModel
     relation: Var
 
@@ -230,8 +229,8 @@ def composite_loss(
     seg = seg_loss(logits, labels)
     geometry = gpl = gcl = seg_aug = None
     if cfg.lambda1 > 0:
-        geometry = embed_var(features, embedding)
-        gpl = geometry_property_loss(geometry, relation_var, labels)
+        geometry, relation_logits = embed_var(features, embedding, relation_var)
+        gpl = geometry_property_loss(relation_logits, labels)
     if cfg.uses_adverse:
         points_aug, labels_aug = adverse
         features_aug, logits_aug = bound.forward(points_aug)
@@ -239,16 +238,17 @@ def composite_loss(
             gcl = geometry_consistency_loss(features_aug, embedding, relation_var, labels_aug)
         if cfg.seg_on_augmented:
             seg_aug = seg_loss(logits_aug, labels_aug)
-    parts = [p for p in (seg, seg_aug) if p is not None]
-    parts += [scale(p, w) for p, w in ((gpl, cfg.lambda1), (gcl, cfg.lambda2)) if p is not None]
-    total = reduce(add, parts) if parts else None
+    terms = [(seg, 1.0), (seg_aug, 1.0), (gpl, cfg.lambda1), (gcl, cfg.lambda2)]
+    terms = [(p, w) for p, w in terms if p is not None]
+    total = weighted_sum(terms) if terms else None
     return CompositeLoss(total, seg, gpl, gcl, features, logits, geometry, bound, relation_var)
 
 
 def train_step(
     state: TrainState, batch: list[Scene], cfg: TrainConfig, epoch: int
 ) -> StepLosses:
-    """One optimization step over a batch of scenes."""
+    """One optimization step over a batch of scenes; raises FloatingPointError
+    before any update if the total loss is not finite."""
     ignore_id = batch[0].labels.ignore_id if batch else 0xFFFF
     originals = [
         standard_augment(s, substream(cfg.seed, "std-aug", epoch, s.id)) for s in batch
@@ -268,6 +268,9 @@ def train_step(
     if loss.total is None:
         state.step_count += 1
         return StepLosses(math.nan, math.nan, math.nan, math.nan, skipped=True)
+    total = float(loss.total.value)
+    if not math.isfinite(total):
+        raise FloatingPointError(f"non-finite total loss {total} at step {state.step_count}")
     params = state.model.parameters() + [state.relation.values]
     sgd_step(state.sgd, params, loss.backward())
 
@@ -275,7 +278,7 @@ def train_step(
         emb = state.embedding
         geometry = (
             embed(loss.features.value, emb) if loss.geometry is None
-            else loss.geometry.value.reshape(-1, emb.num_classes, emb.num_properties)
+            else loss.geometry.reshape(-1, emb.num_classes, emb.num_properties)
         )
         predictions = np.argmax(loss.logits.value, axis=1)
         raw = labels.labels
@@ -298,7 +301,7 @@ def train_step(
         return float(v.value) if v is not None else math.nan
 
     state.step_count += 1
-    return StepLosses(val(loss.seg), val(loss.gpl), val(loss.gcl), float(loss.total.value))
+    return StepLosses(val(loss.seg), val(loss.gpl), val(loss.gcl), total)
 
 
 @dataclass

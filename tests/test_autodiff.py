@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoseg.autodiff import (
-    GradientTape,
-    Var,
-    add,
-    masked_cross_entropy,
-    matmul,
-    matmul_const,
-    scale,
-)
+from geoseg.autodiff import GradientTape, Var, masked_cross_entropy, weighted_sum
 
 IGNORE = 0xFFFF
 
@@ -64,7 +56,7 @@ def test_untouched_leaf_keeps_exact_zero_grad(rng):
     tape = GradientTape()
     x = tape.leaf(rng.normal(size=(3, 2)))
     unused = tape.leaf(rng.normal(size=(4, 4)))
-    loss = contract(scale(x, 2.0), rng.normal(size=6))
+    loss = weighted_sum([(contract(x, rng.normal(size=6)), 2.0)])
     tape.backward(loss)
     assert np.array_equal(unused.grad, np.zeros((4, 4)))
 
@@ -74,7 +66,7 @@ def test_backward_releases_the_graph():
     # a lingering closure would pin every activation of the step.
     tape = GradientTape()
     x = tape.leaf(np.ones((4, 4)))
-    out = contract(scale(x, 2.0), np.ones(16))
+    out = weighted_sum([(contract(x, np.ones(16)), 2.0)])
     ref = weakref.ref(out)
     tape.backward(out)
     del out
@@ -84,56 +76,45 @@ def test_backward_releases_the_graph():
 def test_shared_leaf_accumulates():
     tape = GradientTape()
     x = tape.leaf(np.array([[2.0]]))
-    y = add(x, x)
-    tape.backward(contract(y, np.array([1.0])))
+    y = contract(x, np.array([1.0]))
+    tape.backward(weighted_sum([(y, 1.0), (y, 1.0)]))
     assert x.grad[0, 0] == 2.0
 
 
-def test_matmul_value_and_gradient(rng):
-    a0 = rng.normal(size=(3, 4))
-    b0 = rng.normal(size=(4, 2))
-    probe = rng.normal(size=6)
-
-    def run():
-        tape = GradientTape()
-        a, b = tape.leaf(a0), tape.leaf(b0)
-        out = contract(matmul(a, b), probe)
-        return tape, a, b, out
-
-    tape, a, b, out = run()
-    assert_allclose(out.value, (a0 @ b0).ravel() @ probe, atol=1e-12)
-    tape.backward(out)
-    fd_a = finite_difference(lambda: run()[3].value.item(), a0)
-    fd_b = finite_difference(lambda: run()[3].value.item(), b0)
-    assert_allclose(a.grad, fd_a, atol=1e-7)
-    assert_allclose(b.grad, fd_b, atol=1e-7)
-
-
-def test_matmul_const_blocks_gradient_into_constant(rng):
-    x0 = rng.normal(size=(2, 3))
-    const = rng.normal(size=(3, 3))
-    probe = rng.normal(size=6)
-    tape = GradientTape()
-    x = tape.leaf(x0)
-    out = contract(matmul_const(x, const), probe)
-    tape.backward(out)
-    fd = finite_difference(lambda: float((x0 @ const).ravel() @ probe), x0)
-    assert_allclose(x.grad, fd, atol=1e-7)
-
-
-def test_scale_reshape_chain(rng):
+def test_weighted_sum_value_and_gradient(rng):
     x0 = rng.normal(size=(2, 4))
-    probe = rng.normal(size=8)
+    probes = rng.normal(size=(3, 8))
+    weights = (1.0, 0.5, 2.5)
 
     def value():
-        return float((2.5 * x0).reshape(8) @ probe)
+        total = 0.0
+        for w, probe in zip(weights, probes):
+            total = total + w * float(x0.ravel() @ probe)
+        return total
 
     tape = GradientTape()
     x = tape.leaf(x0)
-    out = contract(scale(x, 2.5), probe)
+    out = weighted_sum([(contract(x, p), w) for w, p in zip(weights, probes)])
     assert_allclose(out.value.item(), value(), atol=1e-12)
     tape.backward(out)
     assert_allclose(x.grad, finite_difference(value, x0), atol=1e-7)
+
+
+def test_weighted_sum_adds_left_to_right_bit_for_bit(rng):
+    parts = rng.normal(size=4)
+    weights = (1.0, 1.0, 0.3, 1.7)
+    tape = GradientTape()
+    terms = [(tape.leaf(p), w) for p, w in zip(parts, weights)]
+    expected = ((parts[0] + parts[1]) + 0.3 * parts[2]) + 1.7 * parts[3]
+    assert weighted_sum(terms).value.tobytes() == np.float64(expected).tobytes()
+
+
+def test_weighted_sum_lone_unit_term_is_the_term_itself():
+    tape = GradientTape()
+    v = tape.leaf(np.array(3.0))
+    assert weighted_sum([(v, 1.0)]) is v
+    doubled = weighted_sum([(v, 2.0)])
+    assert doubled is not v and float(doubled.value) == 6.0
 
 
 # ------------------------------------------------------- masked cross-entropy
@@ -198,7 +179,7 @@ def test_gradient_scales_with_upstream_factor(rng):
         tape = GradientTape()
         logits = tape.leaf(logits0)
         out = masked_cross_entropy(logits, labels, IGNORE)
-        tape.backward(scale(out, factor))
+        tape.backward(weighted_sum([(out, factor)]))
         return logits.grad
 
     assert_allclose(grads(3.0), 3.0 * grads(1.0), atol=1e-12)

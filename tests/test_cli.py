@@ -300,6 +300,33 @@ def test_train_rejects_a_bad_config_before_writing(flag, tmp_path, capsys):
     assert not (out / "checkpoint.gseg").exists()
 
 
+def test_a_non_finite_run_exits_two_without_a_checkpoint(tmp_path, capsys):
+    data = tmp_path / "clean"
+    assert run_cli(["synth", "--out", str(data), "--scenes", "2", "--points", "60",
+                    "--seed", "1"]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                    "--lr", "1e308", "--batch_size", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite total loss")
+    assert not (out / "checkpoint.gseg").exists()
+
+
+def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run_cli(["train", "--data", str(data), "--out", str(run_dir)] + FAST_TRAIN) == 0
+    ckpt = run_dir / "checkpoint.gseg"
+    raw = bytearray(ckpt.read_bytes())
+    raw[-8:] = np.float64(np.nan).tobytes()
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--tta"])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "synth" in capsys.readouterr().out

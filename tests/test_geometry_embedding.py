@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape, matmul, matmul_const, scale
+from geoseg.autodiff import GradientTape, weighted_sum
 from geoseg.geometry_embedding import (
     EmbeddingMatrix,
     RelationMatrix,
@@ -19,6 +19,7 @@ from geoseg.geometry_embedding import (
     momentum_update,
     reliable_points,
 )
+from geoseg.network import softmax
 from geoseg.scenes import IGNORE_ID, LabelSet
 from geoseg.sinkhorn import SinkhornConfig, solve
 
@@ -80,17 +81,23 @@ def test_embed_matches_triple_loop(rng):
 def test_embed_var_matches_embed_and_routes_gradient(rng):
     features0 = rng.normal(size=(4, 3))
     emb = unit_blocks(rng, 2, 3, 2)
-    rows, cols = rng.normal(size=(1, 4)), rng.normal(size=(4, 1))
+    relation0 = rng.normal(size=(4, 2))
+    checksum = hashlib.sha256(emb.blocks.tobytes()).hexdigest()
     tape = GradientTape()
-    features = tape.leaf(features0)
-    g = embed_var(features, emb)
-    assert_array_equal(g.value, embed(features0, emb).reshape(4, 4))
-    # A rank-one probe: loss = rows @ G @ cols.
-    loss = matmul_const(matmul(tape.leaf(rows), g), cols)
-    tape.backward(loss)
-    # d loss / d F = probe-weighted sum of blocks, via the flat layout.
-    expected = (rows.T @ cols.T) @ emb.flat2d().T
-    assert_allclose(features.grad, expected, atol=1e-12)
+    features, relation = tape.leaf(features0), tape.leaf(relation0)
+    geometry, logits = embed_var(features, emb, relation)
+    flat = embed(features0, emb).reshape(4, 4)
+    assert_array_equal(geometry, flat)
+    assert_array_equal(logits.value, flat @ relation0)
+    labels = np.array([0, 1, 1, 0], dtype=np.uint16)
+    tape.backward(geometry_property_loss(logits, LabelSet(labels)))
+    assert hashlib.sha256(emb.blocks.tobytes()).hexdigest() == checksum
+    # Chain rule by hand: d loss / d logits = (softmax - onehot) / N.
+    dlogits = softmax(flat @ relation0)
+    dlogits[np.arange(4), labels] -= 1.0
+    dlogits /= 4
+    assert_allclose(relation.grad, flat.T @ dlogits, atol=1e-12)
+    assert_allclose(features.grad, (dlogits @ relation0.T) @ emb.flat2d().T, atol=1e-12)
 
 
 # ---------------------------------------------------------------- class_plan
@@ -270,36 +277,40 @@ def gpl_oracle(geometry: np.ndarray, q: np.ndarray, labels: np.ndarray) -> float
 
 
 def test_property_loss_matches_scalar_oracle(rng):
-    n, c, m = 5, 3, 2
-    geometry0 = rng.normal(size=(n, c * m))
+    n, c, m, d = 5, 3, 2, 4
+    features0 = rng.normal(size=(n, d))
+    emb = unit_blocks(rng, c, d, m)
     relation = RelationMatrix.initial(c, m, rng=rng)
     labels = LabelSet(np.array([0, 2, IGNORE_ID, 1, 2], dtype=np.uint16))
     tape = GradientTape()
-    geometry = tape.leaf(geometry0)
-    relation_var = tape.leaf(relation.values)
-    loss = geometry_property_loss(geometry, relation_var, labels)
+    _, logits = embed_var(tape.leaf(features0), emb, tape.leaf(relation.values))
+    loss = geometry_property_loss(logits, labels)
     assert_allclose(
-        float(loss.value), gpl_oracle(geometry0, relation.values, labels.labels), atol=1e-10
+        float(loss.value),
+        gpl_oracle(embed_oracle(features0, emb.blocks), relation.values, labels.labels),
+        atol=1e-10,
     )
 
 
 def test_property_loss_gradients_match_finite_differences(rng):
-    n, c, m = 5, 3, 2
-    geometry0 = rng.normal(size=(n, c * m))
+    # Through the fused embed_var op: into the features and the relation matrix.
+    n, c, m, d = 5, 3, 2, 4
+    features0 = rng.normal(size=(n, d))
+    emb = unit_blocks(rng, c, d, m)
     relation0 = rng.normal(size=(c * m, c))
     labels = LabelSet(np.array([0, 2, 1, 1, 2], dtype=np.uint16))
 
     def value():
-        return gpl_oracle(geometry0, relation0, labels.labels)
+        return gpl_oracle(embed(features0, emb), relation0, labels.labels)
 
     tape = GradientTape()
-    geometry = tape.leaf(geometry0)
+    features = tape.leaf(features0)
     relation_var = tape.leaf(relation0)
-    loss = geometry_property_loss(geometry, relation_var, labels)
-    tape.backward(loss)
+    _, logits = embed_var(features, emb, relation_var)
+    tape.backward(geometry_property_loss(logits, labels))
 
     step = 1e-5
-    for arr, grad in ((geometry0, geometry.grad), (relation0, relation_var.grad)):
+    for arr, grad in ((features0, features.grad), (relation0, relation_var.grad)):
         flat, gflat = arr.ravel(), grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
@@ -314,10 +325,9 @@ def test_property_loss_gradients_match_finite_differences(rng):
 
 def test_property_loss_all_masked_returns_none(rng):
     tape = GradientTape()
-    geometry = tape.leaf(rng.normal(size=(3, 4)))
-    relation_var = tape.leaf(rng.normal(size=(4, 2)))
+    logits = tape.leaf(rng.normal(size=(3, 2)))
     labels = LabelSet(np.full(3, IGNORE_ID, dtype=np.uint16))
-    assert geometry_property_loss(geometry, relation_var, labels) is None
+    assert geometry_property_loss(logits, labels) is None
 
 
 def test_consistency_loss_identity_augmentation_equals_property_loss(rng):
@@ -330,9 +340,7 @@ def test_consistency_loss_identity_augmentation_equals_property_loss(rng):
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation.values)
     via_consistency = geometry_consistency_loss(features, emb, relation_var, labels)
-    via_property = geometry_property_loss(
-        embed_var(features, emb), relation_var, labels
-    )
+    via_property = geometry_property_loss(embed_var(features, emb, relation_var)[1], labels)
     assert float(via_consistency.value) == float(via_property.value)
 
 
@@ -346,7 +354,7 @@ def test_consistency_loss_gradient_never_reaches_blocks(rng):
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation.values)
     loss = geometry_consistency_loss(features, emb, relation_var, labels)
-    tape.backward(scale(loss, 2.0))
+    tape.backward(weighted_sum([(loss, 2.0)]))
     assert hashlib.sha256(emb.blocks.tobytes()).hexdigest() == checksum
     assert np.any(features.grad != 0.0)
     assert np.any(relation_var.grad != 0.0)

@@ -1,11 +1,15 @@
 import gc
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape, Var
+from geoseg.autodiff import GradientTape, Var, weighted_sum
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.network import (
     COORD_SCALE,
@@ -157,14 +161,8 @@ def test_two_forwards_accumulate_into_shared_parameters(rng):
     def grads_for(selection):
         tape = GradientTape()
         bound = BoundModel(model, tape)
-        total = None
-        for pts in selection:
-            _, logits = bound.forward(pts)
-            part = seg_loss(logits, labels)
-            from geoseg.autodiff import add
-
-            total = part if total is None else add(total, part)
-        tape.backward(total)
+        parts = [seg_loss(bound.forward(pts)[1], labels) for pts in selection]
+        tape.backward(weighted_sum([(part, 1.0) for part in parts]))
         return [g.copy() for g in bound.gradients()]
 
     combined = grads_for([pts_a, pts_b])
@@ -281,3 +279,99 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(CheckpointFormatError, match="4 trailing bytes"):
         load_checkpoint(path)
+
+
+def raw_checkpoint(path, header, payload_floats):
+    path.write_bytes(
+        b"GSEG\x01" + np.asarray(header, dtype="<u4").tobytes()
+        + np.zeros(payload_floats, dtype="<f8").tobytes()
+    )
+
+
+def test_checkpoint_rejects_zero_trunk_layers(tmp_path):
+    # D=4, C=5, M=3, L=0, widths (4,), then a head, relation and blocks.
+    path = tmp_path / "m.gseg"
+    raw_checkpoint(path, [4, 5, 3, 0, 4], 4 * 5 + 5 + 15 * 5 + 5 * 4 * 3)
+    with pytest.raises(CheckpointFormatError, match="zero dimension"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_zero_classes(tmp_path):
+    # D=4, C=0, M=3, L=1, widths (4, 4), then one trunk layer.
+    path = tmp_path / "m.gseg"
+    raw_checkpoint(path, [4, 0, 3, 1, 4, 4], 4 * 4 + 4)
+    with pytest.raises(CheckpointFormatError, match="zero dimension"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_a_non_finite_payload(bad, tmp_path):
+    model, relation, embedding = make_bundle()
+    path = tmp_path / "m.gseg"
+    save_checkpoint(path, model, relation, embedding)
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.float64(bad).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("which", ["model", "relation", "embedding"])
+def test_save_checkpoint_refuses_non_finite_values(which, tmp_path):
+    model, relation, embedding = make_bundle()
+    arr = {"model": model.weights[0], "relation": relation.values,
+           "embedding": embedding.blocks}[which]
+    arr.flat[1] = math.inf
+    path = tmp_path / "m.gseg"
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        save_checkpoint(path, model, relation, embedding)
+    assert not path.exists()
+
+
+def _valid_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.gseg"
+        save_checkpoint(path, *make_bundle(num_classes=3, widths=(3, 2), props=2))
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = _valid_checkpoint_bytes()
+HEADER_END = 5 + 4 * (4 + 3)  # magic, version, D C M L, then three widths
+U32 = st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1))
+
+
+def truncated():
+    return st.integers(0, len(VALID_CHECKPOINT) - 1).map(lambda k: VALID_CHECKPOINT[:k])
+
+
+def corrupted():
+    def flip(args):
+        pos, byte = args
+        data = bytearray(VALID_CHECKPOINT)
+        data[pos] = byte
+        return bytes(data)
+
+    return st.tuples(st.integers(0, len(VALID_CHECKPOINT) - 1), st.integers(0, 255)).map(flip)
+
+
+def random_header():
+    return st.lists(U32, min_size=0, max_size=10).map(
+        lambda header: VALID_CHECKPOINT[:5] + np.asarray(header, dtype="<u4").tobytes()
+        + VALID_CHECKPOINT[HEADER_END:]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(truncated(), corrupted(), random_header()))
+def test_load_checkpoint_fuzz_loads_or_raises_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.gseg"
+        path.write_bytes(data)
+        try:
+            model, relation, embedding = load_checkpoint(path)
+        except CheckpointFormatError:
+            return
+    # Whatever loads is usable: finite arrays and a working forward pass.
+    for arr in [*model.parameters(), relation.values, embedding.blocks]:
+        assert np.all(np.isfinite(arr))
+    assert predict_logits(model, np.zeros((2, model.in_dim))).shape == (2, model.num_classes)
