@@ -3,14 +3,29 @@
 Given an n x m cost matrix C and regularization sigma, the solver finds
 the fixed point of the scaling iteration
 
-    u <- a / (K v),   v <- b / (K^T u),   K = exp(-C / sigma),
+    u <- a / (K v),   v <- b / (K^T u),   K = exp(-S),
 
-with a = (1/n) 1 and b = (1/m) 1, starting from v = 1. The returned plan
-is diag(u) K diag(v). All arithmetic happens in the log domain
-(log-sum-exp with max subtraction), so small sigma never underflows.
-Iteration stops once the L1 residual of both marginals drops below tol
-or max_iters is reached; non-convergence is reported via the residual,
-never raised.
+with a = (1/n) 1 and b = (1/m) 1, starting from v = 1, and returns the
+plan diag(u) K diag(v). S = (C - rowmin C) / sigma is the scaled cost
+with each row shifted to minimum 0; the shift only rescales u, so the
+plan is that of exp(-C / sigma).
+
+Fast path: while the largest row range max S stays below EXP_RANGE_BOUND
+(500), K and a contiguous K^T are built once and each iteration is two
+matrix-vector products. Every kernel entry is then at least e^-500, a
+normal float64, so K v and K^T u stay positive, and float64's range down
+to e^-708 leaves a factor e^208 of headroom for the scalings u and v, whose log
+spread after an update is at most the row range.
+
+Fallback: at or above the bound (tiny sigma against the cost's spread),
+the same iteration runs on the log potentials log u and log v with
+log-sum-exp, which never underflows.
+
+Both paths stop once the L1 residual of both marginals drops below tol
+or max_iters is reached. The residual is read from the products the next
+half-step needs (u * K v and v * K^T u), so the plan is built once, after
+the loop; the reported residual is recomputed from that plan.
+Non-convergence is reported via the residual, never raised.
 """
 
 from __future__ import annotations
@@ -18,6 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest row range of (C - rowmin C) / sigma that the exp domain takes:
+# every kernel entry is then at least e^-500 ~ 7e-218, a normal float64.
+EXP_RANGE_BOUND = 500.0
 
 
 @dataclass(frozen=True)
@@ -54,6 +73,56 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
+def _marginal_residual(plan: np.ndarray) -> float:
+    """L1 distance of the plan's row and column sums from 1/n and 1/m."""
+    n, m = plan.shape
+    return float(
+        np.abs(plan.sum(axis=1) - 1.0 / n).sum() + np.abs(plan.sum(axis=0) - 1.0 / m).sum()
+    )
+
+
+def _exp_domain_safe(shifted: np.ndarray) -> bool:
+    """Whether the row-shifted scaled cost fits the exp-domain iteration."""
+    return float(shifted.max()) < EXP_RANGE_BOUND
+
+
+def _scaling(
+    shifted: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: SinkhornConfig
+) -> tuple[np.ndarray, int]:
+    """Exp-domain iteration on K = exp(-shifted); the plan and iterations used."""
+    kernel = np.exp(-shifted)
+    kernel_t = np.ascontiguousarray(kernel.T)
+    kv = kernel.sum(axis=1)  # K v with v = 1
+    for it in range(1, cfg.max_iters + 1):
+        u = a / kv
+        ktu = kernel_t @ u
+        v = b / ktu
+        kv = kernel @ v
+        residual = np.abs(u * kv - a).sum() + np.abs(v * ktu - b).sum()
+        if residual < cfg.tol:
+            break
+    return u[:, None] * kernel * v[None, :], it
+
+
+def _log_scaling(
+    shifted: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: SinkhornConfig
+) -> tuple[np.ndarray, int]:
+    """The same iteration on the potentials f = log u, g = log v."""
+    log_k = -shifted
+    log_a = np.log(a)
+    log_b = np.log(b)
+    row_lse = _logsumexp(log_k, axis=1)  # g = 0
+    for it in range(1, cfg.max_iters + 1):
+        f = log_a - row_lse
+        col_lse = _logsumexp(log_k + f[:, None], axis=0)
+        g = log_b - col_lse
+        row_lse = _logsumexp(log_k + g[None, :], axis=1)
+        residual = np.abs(np.exp(f + row_lse) - a).sum() + np.abs(np.exp(g + col_lse) - b).sum()
+        if residual < cfg.tol:
+            break
+    return np.exp(f[:, None] + log_k + g[None, :]), it
+
+
 def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
     """Transport plan between uniform marginals for the given cost matrix.
 
@@ -63,7 +132,7 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
 
     Returns:
         TransportPlan whose plan entries are non-negative with total mass 1
-        up to the achieved residual.
+        up to the achieved residual, which is measured on the plan itself.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] < 1 or cost.shape[1] < 1:
@@ -74,27 +143,12 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
     n, m = cost.shape
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
-    log_a = np.log(a)
-    log_b = np.log(b)
-    log_k = -cost / cfg.sigma
-
-    # v = 1 start, i.e. g = 0; f is overwritten before first use.
-    g = np.zeros(m)
-    for it in range(1, cfg.max_iters + 1):
-        f = log_a - _logsumexp(log_k + g[None, :], axis=1)
-        g = log_b - _logsumexp(log_k + f[:, None], axis=0)
-        plan = np.exp(f[:, None] + log_k + g[None, :])
-        residual = float(
-            np.abs(plan.sum(axis=1) - a).sum() + np.abs(plan.sum(axis=0) - b).sum()
-        )
-        iters_used = it
-        if residual < cfg.tol:
-            break
-    return TransportPlan(plan, iters_used, residual)
+    shifted = (cost - cost.min(axis=1, keepdims=True)) / cfg.sigma
+    iterate = _scaling if _exp_domain_safe(shifted) else _log_scaling
+    plan, iters_used = iterate(shifted, a, b, cfg)
+    return TransportPlan(plan, iters_used, _marginal_residual(plan))
 
 
 def plan_marginal_residual(plan: TransportPlan) -> float:
     """L1 distance of the plan's marginals from the uniform 1/n and 1/m."""
-    p = plan.plan
-    n, m = p.shape
-    return float(np.abs(p.sum(axis=1) - 1.0 / n).sum() + np.abs(p.sum(axis=0) - 1.0 / m).sum())
+    return _marginal_residual(plan.plan)

@@ -381,15 +381,20 @@ def evaluate(
     rotations_deg: tuple[float, ...] = TTA_ROTATIONS_DEG,
     scales: tuple[float, ...] = TTA_SCALES,
 ) -> MetricsReport:
-    """Confusion-matrix evaluation over scenes, optionally with test-time augmentation."""
+    """Confusion-matrix evaluation over scenes, optionally with test-time
+    augmentation; raises FloatingPointError if a scene's logits (or TTA
+    probabilities) are not finite."""
     c = table.num_classes
     conf = np.zeros((c, c), dtype=np.int64)
     for scene in scenes:
         if tta:
-            probs = tta_predict(model, scene.cloud, rotations_deg, scales)
-            preds = np.argmax(probs, axis=1)
+            scores = tta_predict(model, scene.cloud, rotations_deg, scales)
         else:
-            preds = np.argmax(predict_logits(model, scene.cloud.points), axis=1)
+            scores = predict_logits(model, scene.cloud.points)
+        if not np.all(np.isfinite(scores)):
+            kind = "TTA probabilities" if tta else "logits"
+            raise FloatingPointError(f"non-finite {kind} on scene {scene.id}")
+        preds = np.argmax(scores, axis=1)
         conf += confusion_matrix(scene.labels.labels, preds, c, scene.labels.ignore_id)
     return MetricsReport.from_confusion(conf)
 

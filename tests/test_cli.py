@@ -327,6 +327,25 @@ def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_eval_exits_two_when_a_finite_checkpoint_overflows(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    # Finite, so it loads; saturated features make every logit overflow.
+    model = PointNetLite.create(6, (6, 4), rng=substream(0, "init-model"))
+    model.biases[-1][:] = 10.0
+    model.head_weight[:] = 1e308
+    relation = RelationMatrix.initial(6, 2, rng=substream(0, "init-relation"))
+    embedding = EmbeddingMatrix.initial(
+        6, model.feature_dim, 2, rng=substream(0, "init-embedding")
+    )
+    ckpt = tmp_path / "overflow.gseg"
+    save_checkpoint(ckpt, model, relation, embedding)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite logits")
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "synth" in capsys.readouterr().out

@@ -4,14 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from geoseg.sinkhorn import SinkhornConfig, TransportPlan, plan_marginal_residual, solve
+from geoseg.sinkhorn import (
+    EXP_RANGE_BOUND,
+    SinkhornConfig,
+    TransportPlan,
+    _exp_domain_safe,
+    plan_marginal_residual,
+    solve,
+)
 
 
 def naive_plan(cost: np.ndarray, sigma: float, iters: int = 10000, tol: float = 1e-14):
     """Independent fixed-point oracle: direct scaling in the exp domain.
 
     Deliberately written the textbook way (kernel matrix, u/v vectors) so
-    it shares no code with the log-domain solver under test.
+    it shares no code with the solver under test (no row shift, no
+    plan-free residual, no log-domain fallback).
     """
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
@@ -56,13 +64,49 @@ def test_random_cost_matches_oracle(rng):
     assert_allclose(result.plan, naive_plan(cost, 0.5), atol=1e-9, rtol=0)
 
 
+def shifted_cost(cost: np.ndarray, sigma: float) -> np.ndarray:
+    return (cost - cost.min(axis=1, keepdims=True)) / sigma
+
+
 def test_small_sigma_does_not_underflow(rng):
     # exp(-cost/sigma) alone would underflow to hard zeros here; the
-    # log-domain path must still produce a valid coupling.
+    # log-domain fallback must still produce a valid coupling.
     cost = rng.uniform(0.0, 80.0, size=(6, 4))
+    assert not _exp_domain_safe(shifted_cost(cost, 0.01))
     result = solve(cost, SinkhornConfig(sigma=0.01, max_iters=5000))
     assert np.all(result.plan >= 0.0)
     assert_allclose(result.plan.sum(), 1.0, atol=1e-9)
+
+
+def test_training_scale_cost_takes_the_fast_path(rng):
+    # Plans in training see row ranges of C / sigma below 30.
+    cost = rng.uniform(0.0, 1.4, size=(40, 8))
+    assert shifted_cost(cost, 0.05).max() < 30.0
+    assert _exp_domain_safe(shifted_cost(cost, 0.05))
+    assert not _exp_domain_safe(np.array([[0.0, EXP_RANGE_BOUND]]))
+
+
+def test_fallback_matches_oracle_just_above_the_bound(rng):
+    # A row range in [bound, 700) takes the fallback, while the oracle's
+    # kernel stays above float64's smallest normal number.
+    cost = rng.uniform(0.0, 1.0, size=(7, 5))
+    cost[:, 0] = 0.0
+    cost[:, -1] = 1.0
+    sigma = 1.0 / 600.0
+    assert EXP_RANGE_BOUND <= shifted_cost(cost, sigma).max() < 700.0
+    assert not _exp_domain_safe(shifted_cost(cost, sigma))
+    result = solve(cost, SinkhornConfig(sigma=sigma, max_iters=5000, tol=1e-13))
+    assert_allclose(result.plan, naive_plan(cost, sigma), atol=1e-9, rtol=0)
+
+
+@pytest.mark.parametrize("sigma, fast", [(0.5, True), (0.01, False)])
+def test_capped_run_reports_the_residual_of_its_plan(sigma, fast, rng):
+    cost = rng.uniform(0.0, 80.0, size=(6, 4))
+    assert _exp_domain_safe(shifted_cost(cost, sigma)) == fast
+    result = solve(cost, SinkhornConfig(sigma=sigma, max_iters=1, tol=1e-16))
+    assert result.iters_used == 1
+    assert result.residual > 0.0
+    assert plan_marginal_residual(result) == pytest.approx(result.residual, abs=1e-15)
 
 
 def test_reports_iterations_and_residual(rng):

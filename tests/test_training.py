@@ -222,6 +222,18 @@ def test_evaluate_matches_manual_confusion():
     assert report.miou == expected.miou
 
 
+@pytest.mark.parametrize("tta", [False, True])
+def test_evaluate_raises_on_non_finite_scores(tta):
+    # A finite model whose head overflows: every load check passes it.
+    # Saturated features (tanh(10) ~ 1) make every logit sum past 1.8e308.
+    model = init_state(tiny_cfg(), TABLE).model
+    model.biases[-1][:] = 10.0
+    model.head_weight[:] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            evaluate(model, tiny_scenes(2), TABLE, tta=tta)
+
+
 # ------------------------------------------------------------------- ablation
 
 
