@@ -42,7 +42,6 @@ class AugmentationConfig:
     gamma2: float = 1.0
     fog_alpha_max: float = 0.1
     fog_threshold: float = 0.05
-    seed: int = 0
     accumulate_all: bool = False
 
     def __post_init__(self):

@@ -18,12 +18,7 @@ from pathlib import Path
 
 from geoseg.augment import AugmentationConfig, compound_augment
 from geoseg.gradcheck import run_gradient_check
-from geoseg.network import (
-    CheckpointFormatError,
-    NonFiniteGradientError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from geoseg.network import CheckpointFormatError, load_checkpoint, save_checkpoint
 from geoseg.scenes import (
     ClassTable,
     Scene,
@@ -38,7 +33,6 @@ from geoseg.training import (
     TrainConfig,
     ablation_base_config,
     evaluate,
-    init_state,
     run_ablation,
     train,
 )
@@ -180,26 +174,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg = replace(cfg, out_dir=args.out)
     table = default_class_table()
     scenes = _load_scenes(args.data, table)
+    if cfg.epochs > 0 and not scenes:
+        raise UsageError(f"no scenes under {args.data}")
+
+    def progress(epoch, summary):
+        print(f"epoch_{epoch}_total = {summary['total']:.6f}")
+
+    result = train(cfg, scenes, table, progress=progress)
+    state = result.state
     out_dir = Path(cfg.out_dir)
-
-    if cfg.epochs == 0:
-        state = init_state(cfg, table)
-        epoch_losses = []
-    else:
-        if not scenes:
-            raise UsageError(f"no scenes under {args.data}")
-
-        def progress(epoch, summary):
-            print(f"epoch_{epoch}_total = {summary['total']:.6f}")
-
-        result = train(cfg, scenes, table, progress=progress)
-        state = result.state
-        epoch_losses = result.epoch_losses
-
     save_checkpoint(out_dir / "checkpoint.gseg", state.model, state.relation, state.embedding)
     _write_lines(out_dir / "config.txt", config_lines(cfg))
     loss_lines = []
-    for i, summary in enumerate(epoch_losses):
+    for i, summary in enumerate(result.epoch_losses):
         for name in ("seg", "gpl", "gcl", "total"):
             loss_lines.append(f"epoch_{i}_{name} = {summary[name]:.6f}")
     _write_lines(out_dir / "losses.txt", loss_lines)
@@ -235,13 +222,13 @@ def cmd_augment(args: argparse.Namespace) -> int:
     table = default_class_table()
     scene = read_scene(Path(args.data), args.stem, table)
     overrides = _collect_overrides(args)
-    aug_fields = {f.name for f in dataclasses.fields(AugmentationConfig)}
-    bad = set(overrides) - aug_fields
+    accepted = {f.name for f in dataclasses.fields(AugmentationConfig)} | {"seed"}
+    bad = set(overrides) - accepted
     if bad:
         raise UsageError(f"not augmentation keys: {sorted(bad)}")
-    cfg = build_train_config(None, overrides).augmentation()
+    cfg = build_train_config(None, overrides)
     rng = substream(cfg.seed, "pags", scene.id)
-    augmented, report = compound_augment(scene, table, cfg, rng)
+    augmented, report = compound_augment(scene, table, cfg.augmentation(), rng)
     out = Path(args.out)
     write_scene(out, augmented)
     lines = report.lines()
@@ -368,7 +355,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (UsageError, SceneFormatError, CheckpointFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonFiniteGradientError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

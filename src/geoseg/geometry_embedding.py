@@ -57,11 +57,9 @@ class EmbeddingMatrix:
         num_classes: int,
         feature_dim: int,
         num_properties: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> "EmbeddingMatrix":
         """Gaussian bootstrap with every block scaled to unit Frobenius norm."""
-        if rng is None:
-            rng = np.random.default_rng(0)
         blocks = rng.normal(
             0.0, 1.0 / np.sqrt(feature_dim), size=(num_classes, feature_dim, num_properties)
         )
@@ -83,13 +81,8 @@ class RelationMatrix:
 
     @classmethod
     def initial(
-        cls,
-        num_classes: int,
-        num_properties: int,
-        rng: np.random.Generator | None = None,
+        cls, num_classes: int, num_properties: int, rng: np.random.Generator
     ) -> "RelationMatrix":
-        if rng is None:
-            rng = np.random.default_rng(0)
         cm = num_classes * num_properties
         return cls(rng.normal(0.0, 1.0 / np.sqrt(cm), size=(cm, num_classes)))
 

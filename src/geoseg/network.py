@@ -26,10 +26,6 @@ CHECKPOINT_MAGIC = b"GSEG"
 CHECKPOINT_VERSION = 1
 
 
-class NonFiniteGradientError(ArithmeticError):
-    """A gradient contained NaN or infinity; the update step was aborted."""
-
-
 class CheckpointFormatError(ValueError):
     """An on-disk checkpoint violates the binary format."""
 
@@ -50,15 +46,9 @@ class PointNetLite:
 
     @classmethod
     def create(
-        cls,
-        num_classes: int,
-        widths: tuple[int, ...] = (64, 64, 32),
-        in_dim: int = 4,
-        rng: np.random.Generator | None = None,
+        cls, num_classes: int, widths: tuple[int, ...], rng: np.random.Generator
     ) -> "PointNetLite":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        dims = (in_dim, *widths)
+        dims = (4, *widths)  # input rows are x, y, z, intensity
         weights = [
             rng.normal(0.0, 1.0 / np.sqrt(dims[i]), size=(dims[i], dims[i + 1]))
             for i in range(len(widths))
@@ -177,12 +167,12 @@ class SgdState:
 
 
 def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One in-place update; raises NonFiniteGradientError before touching params."""
+    """One in-place update; raises FloatingPointError before touching params."""
     if len(params) != len(grads):
         raise ValueError("params and grads must align")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {i}")
+            raise FloatingPointError(f"non-finite gradient for parameter {i}")
     if state.velocities is None:
         state.velocities = [np.zeros_like(p) for p in params]
     for p, g, v in zip(params, grads, state.velocities):

@@ -160,15 +160,10 @@ def shift_scene(scene: Scene, cfg: SynthConfig, aug: AugmentationConfig, index: 
     return Scene(PointCloud(points), scene.labels, scene.id)
 
 
-def make_split(
-    cfg: SynthConfig,
-    n_train: int,
-    n_test: int,
-    aug: AugmentationConfig | None = None,
-) -> tuple[list[Scene], list[Scene]]:
-    """Clean train scenes plus shifted test scenes from disjoint index ranges."""
-    if aug is None:
-        aug = AugmentationConfig()
+def make_split(cfg: SynthConfig, n_train: int, n_test: int) -> tuple[list[Scene], list[Scene]]:
+    """Clean train scenes plus test scenes shifted with the default
+    AugmentationConfig, from disjoint index ranges."""
+    aug = AugmentationConfig()
     train = [generate_scene(cfg, i) for i in range(n_train)]
     test = []
     for j in range(n_test):

@@ -123,7 +123,6 @@ class TrainConfig:
             gamma2=self.gamma2,
             fog_alpha_max=self.fog_alpha_max,
             fog_threshold=self.fog_threshold,
-            seed=self.seed,
             accumulate_all=self.accumulate_all,
         )
 
@@ -326,8 +325,10 @@ def train(
     table: ClassTable,
     progress=None,
 ) -> TrainResult:
-    """Train a fresh state on the given scenes; progress(epoch, losses) if given."""
-    if not scenes:
+    """Train a fresh state on the given scenes; progress(epoch, losses) if given.
+
+    With epochs == 0 this returns the initial state, and scenes may be empty."""
+    if cfg.epochs > 0 and not scenes:
         raise ValueError("no training scenes")
     state = init_state(cfg, table)
     epoch_losses: list[dict[str, float]] = []
@@ -352,34 +353,20 @@ def train(
     return TrainResult(state, epoch_losses, step_losses)
 
 
-def tta_predict(
-    model: PointNetLite,
-    cloud: PointCloud,
-    rotations_deg: tuple[float, ...] = TTA_ROTATIONS_DEG,
-    scales: tuple[float, ...] = TTA_SCALES,
-) -> np.ndarray:
-    """Mean softmax probabilities over the rotation x scale transform grid."""
-    if not rotations_deg or not scales:
-        raise ValueError("need at least one rotation and one scale")
+def tta_predict(model: PointNetLite, cloud: PointCloud) -> np.ndarray:
+    """Mean softmax probabilities over the TTA_ROTATIONS_DEG x TTA_SCALES grid."""
     total = None
-    count = 0
-    for deg in rotations_deg:
-        for s in scales:
+    for deg in TTA_ROTATIONS_DEG:
+        for s in TTA_SCALES:
             pts = rotate_z(cloud.points, math.radians(deg))
             pts[:, :3] *= s
             probs = softmax(predict_logits(model, pts))
             total = probs if total is None else total + probs
-            count += 1
-    return total / count
+    return total / (len(TTA_ROTATIONS_DEG) * len(TTA_SCALES))
 
 
 def evaluate(
-    model: PointNetLite,
-    scenes: list[Scene],
-    table: ClassTable,
-    tta: bool = False,
-    rotations_deg: tuple[float, ...] = TTA_ROTATIONS_DEG,
-    scales: tuple[float, ...] = TTA_SCALES,
+    model: PointNetLite, scenes: list[Scene], table: ClassTable, tta: bool = False
 ) -> MetricsReport:
     """Confusion-matrix evaluation over scenes, optionally with test-time
     augmentation; raises FloatingPointError if a scene's logits (or TTA
@@ -388,7 +375,7 @@ def evaluate(
     conf = np.zeros((c, c), dtype=np.int64)
     for scene in scenes:
         if tta:
-            scores = tta_predict(model, scene.cloud, rotations_deg, scales)
+            scores = tta_predict(model, scene.cloud)
         else:
             scores = predict_logits(model, scene.cloud.points)
         if not np.all(np.isfinite(scores)):
@@ -461,8 +448,6 @@ def run_ablation(
     n_train: int = 200,
     n_test: int = 50,
     severity: float = 1.5,
-    variants: tuple[str, ...] = VARIANTS,
-    tta_eval: bool = True,
     progress=None,
 ) -> AblationResult:
     """Train the component ladder per seed on a shared shifted split.
@@ -478,15 +463,11 @@ def run_ablation(
     for seed in seeds:
         scfg = replace(synth_cfg, seed=seed, shift_severity=severity)
         train_scenes, test_scenes = make_split(scfg, n_train, n_test)
-        for variant in variants:
+        for variant in VARIANTS:
             cfg = variant_config(replace(base_cfg, seed=seed), variant)
             result = train(cfg, train_scenes, scfg.classes)
             miou = evaluate(result.state.model, test_scenes, scfg.classes).miou
-            tta_miou = (
-                evaluate(result.state.model, test_scenes, scfg.classes, tta=True).miou
-                if tta_eval
-                else math.nan
-            )
+            tta_miou = evaluate(result.state.model, test_scenes, scfg.classes, tta=True).miou
             runs.append(AblationRun(variant, seed, miou, tta_miou, result.epoch_totals))
             if progress is not None:
                 progress(runs[-1])

@@ -16,7 +16,6 @@ from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg import cli
 from geoseg.network import (
     CheckpointFormatError,
-    NonFiniteGradientError,
     PointNetLite,
     load_checkpoint,
     save_checkpoint,
@@ -118,6 +117,22 @@ def test_train_zero_epochs_still_writes_artifacts(tmp_path):
     assert (out / "losses.txt").read_text() == "\n"
 
 
+def test_train_on_an_empty_data_directory_needs_zero_epochs(tmp_path, capsys):
+    data = tmp_path / "empty"
+    data.mkdir()
+    out = tmp_path / "run"
+    code = run_cli(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+                    "--widths", "6,4", "--geom_props", "2"])
+    assert code == 0
+    assert (out / "checkpoint.gseg").is_file()
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run1"),
+                    "--epochs", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: no scenes under {data}\n"
+    assert not (tmp_path / "run1" / "checkpoint.gseg").exists()
+
+
 def test_train_prints_and_records_per_epoch_totals(tmp_path, capsys):
     data = make_dataset(tmp_path)
     out = tmp_path / "run"
@@ -178,6 +193,21 @@ def test_augment_writes_scene_and_report(tmp_path, capsys):
     assert report == capsys.readouterr().out
     assert "psi1_applied = true" in report
     assert "psi2_applied = true" in report
+
+
+def test_augment_seed_drives_the_draw(tmp_path):
+    data = make_dataset(tmp_path)
+    written = {}
+    for name, seed in (("a", "0"), ("b", "0"), ("c", "5")):
+        out = tmp_path / name
+        assert run_cli([
+            "augment", "--data", str(data), "--stem", "000000", "--out", str(out),
+            "--beta1", "1", "--beta2", "1", "--seed", seed,
+        ]) == 0
+        written[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    points = Path("velodyne", "000000.bin")
+    assert written["a"] == written["b"]
+    assert written["a"][points] != written["c"][points]
 
 
 def test_augment_rejects_training_only_keys(tmp_path, capsys):
@@ -273,7 +303,6 @@ def test_usage_failures_exit_one(tmp_path, capsys):
     (CheckpointFormatError, 1, "error: "),
     (ValueError, 1, "error: "),
     (OSError, 1, "error: "),
-    (NonFiniteGradientError, 2, "numeric failure: "),
     (FloatingPointError, 2, "numeric failure: "),
 ])
 def test_subcommand_exceptions_map_to_exit_codes(exc, code, prefix, monkeypatch, capsys):
