@@ -149,6 +149,8 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.scenes < 0:
+        raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
     cfg = SynthConfig(
         points_per_scene=args.points,
         scene_extent=args.extent,

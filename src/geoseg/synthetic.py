@@ -12,6 +12,7 @@ round trip through the binary format is bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +55,10 @@ class SynthConfig:
             raise ValueError(
                 f"points_per_scene must be >= {self.classes.num_classes} so every class appears"
             )
-        if self.scene_extent <= 0:
-            raise ValueError(f"scene_extent must be positive, got {self.scene_extent}")
-        if self.shift_severity < 0:
-            raise ValueError(f"shift_severity must be >= 0, got {self.shift_severity}")
+        if not (math.isfinite(self.scene_extent) and self.scene_extent > 0):
+            raise ValueError(f"scene_extent must be finite and > 0, got {self.scene_extent}")
+        if not (math.isfinite(self.shift_severity) and self.shift_severity >= 0):
+            raise ValueError(f"shift_severity must be finite and >= 0, got {self.shift_severity}")
 
 
 def intensity_band(class_id: int, num_classes: int) -> tuple[float, float]:
@@ -148,11 +149,12 @@ def generate_scene(cfg: SynthConfig, index: int) -> Scene:
     )
 
 
-def shift_scene(scene: Scene, cfg: SynthConfig, aug: AugmentationConfig, index: int) -> Scene:
-    """Apply the clean-to-adverse shift; evaluation keeps pre-masking labels."""
+def shift_scene(scene: Scene, cfg: SynthConfig, index: int) -> Scene:
+    """Apply the clean-to-adverse shift, the default AugmentationConfig scaled
+    by cfg.shift_severity; evaluation keeps pre-masking labels."""
     if cfg.shift_severity == 0.0:
         return scene
-    eff = scaled_for_severity(aug, cfg.shift_severity)
+    eff = scaled_for_severity(AugmentationConfig(), cfg.shift_severity)
     rng = substream(cfg.seed, "shift", index)
     shifted, _ = matter_accumulation(scene, cfg.classes, eff, rng)
     shifted, _ = fog_attenuation(shifted, eff, rng)
@@ -163,10 +165,9 @@ def shift_scene(scene: Scene, cfg: SynthConfig, aug: AugmentationConfig, index: 
 def make_split(cfg: SynthConfig, n_train: int, n_test: int) -> tuple[list[Scene], list[Scene]]:
     """Clean train scenes plus test scenes shifted with the default
     AugmentationConfig, from disjoint index ranges."""
-    aug = AugmentationConfig()
     train = [generate_scene(cfg, i) for i in range(n_train)]
     test = []
     for j in range(n_test):
         scene = generate_scene(cfg, TEST_INDEX_BASE + j)
-        test.append(shift_scene(scene, cfg, aug, j))
+        test.append(shift_scene(scene, cfg, j))
     return train, test

@@ -52,7 +52,7 @@ from geoseg.network import (
     sgd_step,
     softmax,
 )
-from geoseg.scenes import ClassTable, LabelSet, PointCloud, Scene
+from geoseg.scenes import IGNORE_ID, ClassTable, LabelSet, PointCloud, Scene
 from geoseg.sinkhorn import SinkhornConfig
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, make_split
@@ -248,7 +248,7 @@ def train_step(
 ) -> StepLosses:
     """One optimization step over a batch of scenes; raises FloatingPointError
     before any update if the total loss is not finite."""
-    ignore_id = batch[0].labels.ignore_id if batch else 0xFFFF
+    ignore_id = batch[0].labels.ignore_id if batch else IGNORE_ID
     originals = [
         standard_augment(s, substream(cfg.seed, "std-aug", epoch, s.id)) for s in batch
     ]

@@ -104,6 +104,19 @@ def test_synth_writes_paired_files_with_zero_padded_stems(tmp_path, capsys):
         assert (data / "labels" / f"{i:06d}.label").is_file()
 
 
+@pytest.mark.parametrize("flag, named", [
+    ("--extent=nan", "scene_extent"), ("--extent=inf", "scene_extent"),
+    ("--severity=inf", "shift_severity"), ("--severity=nan", "shift_severity"),
+    ("--scenes=-2", "--scenes"),
+])
+def test_synth_rejects_a_bad_setting_before_writing(flag, named, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli(["synth", "--out", str(out), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 def test_train_zero_epochs_still_writes_artifacts(tmp_path):
     data = make_dataset(tmp_path)
     out = tmp_path / "run"
