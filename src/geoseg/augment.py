@@ -167,20 +167,11 @@ def compound_augment(
     return out, report
 
 
-@dataclass(frozen=True)
-class StandardAugmentConfig:
-    """Gate probabilities and magnitudes for the conventional augmentations."""
-
-    p_rotate: float = 0.5
-    p_scale: float = 0.5
-    p_flip_x: float = 0.5
-    p_flip_y: float = 0.5
-    p_jitter: float = 0.5
-    p_dropout: float = 0.5
-    scale_low: float = 0.95
-    scale_high: float = 1.05
-    jitter_sigma: float = 0.01
-    dropout_rate: float = 0.2
+# Gate probability of each conventional augmentation, and its magnitudes.
+STD_GATE_P = 0.5
+STD_SCALE_RANGE = (0.95, 1.05)
+STD_JITTER_SIGMA = 0.01
+STD_DROPOUT_RATE = 0.2
 
 
 def rotate_z(points: np.ndarray, theta: float) -> np.ndarray:
@@ -194,32 +185,29 @@ def rotate_z(points: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def standard_augment(
-    scene: Scene,
-    rng: np.random.Generator,
-    cfg: StandardAugmentConfig = StandardAugmentConfig(),
-) -> Scene:
+def standard_augment(scene: Scene, rng: np.random.Generator) -> Scene:
     """Conventional train-time augmentation.
 
-    In order, each gated by its own probability: full-range rotation
-    about z, global scaling in [scale_low, scale_high], x flip, y flip,
-    Gaussian coordinate jitter, and per-point dropout that removes points
-    together with their labels. Intensity is never touched.
+    In order, each behind its own gate that opens with probability
+    STD_GATE_P: full-range rotation about z, global scaling within
+    STD_SCALE_RANGE, x flip, y flip, Gaussian coordinate jitter, and
+    per-point dropout that removes points together with their labels.
+    Intensity is never touched.
     """
     points = scene.cloud.points.copy()
     labels = scene.labels.labels
-    if rng.random() < cfg.p_rotate:
+    if rng.random() < STD_GATE_P:
         points = rotate_z(points, rng.uniform(0.0, 2.0 * math.pi))
-    if rng.random() < cfg.p_scale:
-        points[:, :3] *= rng.uniform(cfg.scale_low, cfg.scale_high)
-    if rng.random() < cfg.p_flip_x:
+    if rng.random() < STD_GATE_P:
+        points[:, :3] *= rng.uniform(*STD_SCALE_RANGE)
+    if rng.random() < STD_GATE_P:
         points[:, 0] = -points[:, 0]
-    if rng.random() < cfg.p_flip_y:
+    if rng.random() < STD_GATE_P:
         points[:, 1] = -points[:, 1]
-    if rng.random() < cfg.p_jitter:
-        points[:, :3] += rng.normal(0.0, cfg.jitter_sigma, size=(points.shape[0], 3))
-    if rng.random() < cfg.p_dropout:
-        keep = rng.random(points.shape[0]) >= cfg.dropout_rate
+    if rng.random() < STD_GATE_P:
+        points[:, :3] += rng.normal(0.0, STD_JITTER_SIGMA, size=(points.shape[0], 3))
+    if rng.random() < STD_GATE_P:
+        keep = rng.random(points.shape[0]) >= STD_DROPOUT_RATE
         points = points[keep]
         labels = labels[keep]
     return Scene(

@@ -257,8 +257,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         args.config, _collect_overrides(args), base=ablation_base_config()
     )
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not seeds:
-        raise UsageError("need at least one seed")
     synth_cfg = SynthConfig(points_per_scene=args.points)
 
     def progress(run):

@@ -38,10 +38,6 @@ class EmbeddingMatrix:
         return self.blocks.shape[0]
 
     @property
-    def feature_dim(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
     def num_properties(self) -> int:
         return self.blocks.shape[2]
 

@@ -23,6 +23,16 @@ from geoseg.network import PointNetLite
 from geoseg.scenes import IGNORE_ID, LabelSet
 from geoseg.streams import substream
 
+# Shape of each random case: model width, classes and geometry properties.
+FEATURE_DIM = 8
+NUM_CLASSES = 4
+NUM_PROPERTIES = 4
+# Central-difference step, and the pass limit per coordinate:
+# max(ABS_FLOOR, REL_TOL * max(|fd|, |analytic|)).
+STEP = 1e-5
+REL_TOL = 1e-4
+ABS_FLOOR = 1e-8
+
 
 @dataclass
 class GradCheckCase:
@@ -46,7 +56,8 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.embedding_untouched
+        """No failure, blocks untouched, and at least one coordinate checked."""
+        return self.coords_checked > 0 and not self.failures and self.embedding_untouched
 
     def lines(self) -> list[str]:
         return [
@@ -59,23 +70,22 @@ class GradCheckReport:
         ]
 
 
-def _random_case(rng: np.random.Generator, max_points: int, feature_dim: int,
-                 num_classes: int, num_properties: int) -> GradCheckCase:
+def _random_case(rng: np.random.Generator, max_points: int) -> GradCheckCase:
     n = int(rng.integers(4, max_points + 1))
-    model = PointNetLite.create(num_classes, widths=(feature_dim, feature_dim), rng=rng)
+    model = PointNetLite.create(NUM_CLASSES, widths=(FEATURE_DIM, FEATURE_DIM), rng=rng)
 
     def cloud_and_labels():
         pts = np.column_stack(
             [rng.uniform(-45.0, 45.0, size=(n, 3)), rng.uniform(0.0, 1.0, size=n)]
         )
-        raw = rng.integers(0, num_classes, size=n).astype(np.uint16)
+        raw = rng.integers(0, NUM_CLASSES, size=n).astype(np.uint16)
         raw[rng.random(n) < 0.15] = IGNORE_ID
         return pts, LabelSet(raw)
 
     points, labels = cloud_and_labels()
     points_aug, labels_aug = cloud_and_labels()
-    embedding = EmbeddingMatrix.initial(num_classes, feature_dim, num_properties, rng=rng)
-    relation = RelationMatrix.initial(num_classes, num_properties, rng=rng)
+    embedding = EmbeddingMatrix.initial(NUM_CLASSES, FEATURE_DIM, NUM_PROPERTIES, rng=rng)
+    relation = RelationMatrix.initial(NUM_CLASSES, NUM_PROPERTIES, rng=rng)
     return GradCheckCase(model, relation, embedding, points, labels, points_aug, labels_aug)
 
 
@@ -92,12 +102,7 @@ def composite_loss_value(case: GradCheckCase) -> float:
     return float(total.value) if total is not None else 0.0
 
 
-def check_case(
-    case: GradCheckCase,
-    step: float = 1e-5,
-    rel_tol: float = 1e-4,
-    abs_floor: float = 1e-8,
-) -> tuple[int, float, list[str], bool]:
+def check_case(case: GradCheckCase) -> tuple[int, float, list[str], bool]:
     """FD-vs-analytic comparison for one case.
 
     Returns (coords checked, max abs difference, failure descriptions,
@@ -121,14 +126,14 @@ def check_case(
         gflat = grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             hi = composite_loss_value(case)
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             lo = composite_loss_value(case)
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * STEP)
             diff = abs(fd - gflat[i])
-            limit = max(abs_floor, rel_tol * max(abs(fd), abs(gflat[i])))
+            limit = max(ABS_FLOOR, REL_TOL * max(abs(fd), abs(gflat[i])))
             max_diff = max(max_diff, diff)
             checked += 1
             if diff > limit:
@@ -138,23 +143,15 @@ def check_case(
     return checked, max_diff, failures, untouched
 
 
-def run_gradient_check(
-    seed: int = 0,
-    cases: int = 20,
-    max_points: int = 32,
-    feature_dim: int = 8,
-    num_classes: int = 4,
-    num_properties: int = 4,
-    step: float = 1e-5,
-    rel_tol: float = 1e-4,
-    abs_floor: float = 1e-8,
-) -> GradCheckReport:
+def run_gradient_check(seed: int = 0, cases: int = 20, max_points: int = 32) -> GradCheckReport:
     """Run the FD battery over freshly drawn random configurations."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     report = GradCheckReport()
     for case_idx in range(cases):
         rng = substream(seed, "gradcheck", case_idx)
-        case = _random_case(rng, max_points, feature_dim, num_classes, num_properties)
-        checked, max_diff, failures, untouched = check_case(case, step, rel_tol, abs_floor)
+        case = _random_case(rng, max_points)
+        checked, max_diff, failures, untouched = check_case(case)
         report.cases += 1
         report.coords_checked += checked
         report.max_abs_diff = max(report.max_abs_diff, max_diff)

@@ -57,16 +57,11 @@ class MetricsReport:
         iou, present, miou = iou_from_confusion(conf)
         return cls(iou, present, miou, np.asarray(conf))
 
-    def lines(self, class_names: tuple[str, ...] | None = None) -> list[str]:
+    def lines(self, class_names: tuple[str, ...]) -> list[str]:
         """Structured text, one `name = value` per line."""
-        c = self.per_class_iou.shape[0]
-        names = class_names if class_names is not None else tuple(str(i) for i in range(c))
         out = []
-        for i in range(c):
-            if self.present[i]:
-                out.append(f"iou_{names[i]} = {self.per_class_iou[i]:.6f}")
-            else:
-                out.append(f"iou_{names[i]} = absent")
+        for name, present, iou in zip(class_names, self.present, self.per_class_iou, strict=True):
+            out.append(f"iou_{name} = {iou:.6f}" if present else f"iou_{name} = absent")
         out.append(f"miou = {self.miou:.6f}")
         return out
 

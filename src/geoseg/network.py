@@ -160,9 +160,9 @@ class SgdState:
     param <- param - lr * v.
     """
 
-    lr: float = 0.24
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    lr: float
+    momentum: float
+    weight_decay: float
     velocities: list[np.ndarray] | None = field(default=None)
 
 

@@ -57,14 +57,6 @@ class PointCloud:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.points[:, 3]
-
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -84,9 +76,6 @@ class LabelSet:
     @property
     def n(self) -> int:
         return self.labels.shape[0]
-
-    def valid_mask(self) -> np.ndarray:
-        return self.labels != self.ignore_id
 
 
 @dataclass(frozen=True)

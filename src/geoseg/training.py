@@ -73,30 +73,33 @@ class TrainConfig:
     widths: tuple[int, ...] = (64, 64, 32)
     geom_props: int = 8
     epsilon: float = 0.9999
-    sigma: float = 0.05
-    sinkhorn_iters: int = 200
-    sinkhorn_tol: float = 1e-8
+    # Solver and augmentation defaults are read from their own configs, so
+    # training and the shifted test split share one copy of each.
+    sigma: float = SinkhornConfig.sigma
+    sinkhorn_iters: int = SinkhornConfig.max_iters
+    sinkhorn_tol: float = SinkhornConfig.tol
     lambda1: float = 1.0
     lambda2: float = 1.0
     seg_on_augmented: bool = False
-    beta1: float = 0.3
-    beta2: float = 0.5
-    rho: float = 0.3
-    h1: float = 0.05
-    h2: float = 0.3
-    gamma1: float = 0.3
-    gamma2: float = 1.0
-    fog_alpha_max: float = 0.1
-    fog_threshold: float = 0.05
-    accumulate_all: bool = False
+    beta1: float = AugmentationConfig.beta1
+    beta2: float = AugmentationConfig.beta2
+    rho: float = AugmentationConfig.rho
+    h1: float = AugmentationConfig.h1
+    h2: float = AugmentationConfig.h2
+    gamma1: float = AugmentationConfig.gamma1
+    gamma2: float = AugmentationConfig.gamma2
+    fog_alpha_max: float = AugmentationConfig.fog_alpha_max
+    fog_threshold: float = AugmentationConfig.fog_threshold
+    accumulate_all: bool = AugmentationConfig.accumulate_all
     seed: int = 0
     out_dir: str = "runs/default"
 
     def __post_init__(self):
         if not self.widths or min(self.widths) < 1:
             raise ValueError(f"widths must be non-empty and positive, got {self.widths}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("batch_size", "geom_props"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -369,8 +372,11 @@ def evaluate(
     model: PointNetLite, scenes: list[Scene], table: ClassTable, tta: bool = False
 ) -> MetricsReport:
     """Confusion-matrix evaluation over scenes, optionally with test-time
-    augmentation; raises FloatingPointError if a scene's logits (or TTA
-    probabilities) are not finite."""
+    augmentation; raises ValueError on an empty scene list and
+    FloatingPointError if a scene's logits (or TTA probabilities) are not
+    finite."""
+    if not scenes:
+        raise ValueError("no scenes to evaluate")
     c = table.num_classes
     conf = np.zeros((c, c), dtype=np.int64)
     for scene in scenes:
@@ -454,7 +460,14 @@ def run_ablation(
 
     Every variant of a seed sees identical data and identical named RNG
     substreams; the variants differ only in which losses are active.
+    Empty seeds, or fewer than one train or test scene, raise ValueError
+    before anything is trained.
     """
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for name, count in (("n_train", n_train), ("n_test", n_test)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if base_cfg is None:
         base_cfg = ablation_base_config()
     if synth_cfg is None:

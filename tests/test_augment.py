@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from geoseg.augment import (
+    STD_GATE_P,
     AugmentationConfig,
-    StandardAugmentConfig,
     compound_augment,
     fog_attenuation,
     matter_accumulation,
@@ -101,8 +101,8 @@ def test_accumulation_clamps_intensity(rng, small_table):
     scene = make_scene(rng, n=30, num_classes=4, intensity_low=0.6, intensity_high=0.9)
     cfg = AugmentationConfig(rho=1.0, gamma1=2.0, gamma2=3.0, accumulate_all=True)
     out, _ = matter_accumulation(scene, small_table, cfg, substream(0, "t"))
-    assert np.all(out.cloud.intensity <= 1.0)
-    assert np.any(out.cloud.intensity == 1.0)
+    assert np.all(out.cloud.points[:, 3] <= 1.0)
+    assert np.any(out.cloud.points[:, 3] == 1.0)
 
 
 # ------------------------------------------------------------ fog attenuation
@@ -159,7 +159,7 @@ def test_fog_is_intensity_non_increasing(seed):
     rng = np.random.default_rng(seed)
     scene = make_scene(rng, n=30)
     out, _ = fog_attenuation(scene, AugmentationConfig(), np.random.default_rng(seed))
-    assert np.all(out.cloud.intensity <= scene.cloud.intensity + 1e-15)
+    assert np.all(out.cloud.points[:, 3] <= scene.cloud.points[:, 3] + 1e-15)
 
 
 # ------------------------------------------------------------------- compound
@@ -224,46 +224,76 @@ def test_rotation_inverse_recovers_coordinates(rng):
     assert_array_equal(back[:, 3], pts[:, 3])
 
 
+class GateRecorder:
+    """Generator stand-in that records which of standard_augment's six gates
+    (the scalar `random()` draws) opened, in order."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.gates: list[bool] = []
+
+    def random(self, size=None):
+        if size is not None:
+            return self._rng.random(size)
+        value = self._rng.random()
+        self.gates.append(bool(value < STD_GATE_P))
+        return value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def key_with_gates(scene: Scene, name: str, *gates: bool) -> int:
+    """The first key whose substream(key, name) makes standard_augment open
+    exactly the given gates (rotate, scale, flip x, flip y, jitter, dropout)."""
+    for key in range(4096):
+        recorder = GateRecorder(substream(key, name))
+        standard_augment(scene, recorder)
+        if tuple(recorder.gates) == gates:
+            return key
+    raise AssertionError(f"no key in range opens gates {gates}")
+
+
+ALL_OFF = (False,) * 6
+DROPOUT_ONLY = (False,) * 5 + (True,)
+
+
 def test_standard_augment_all_gates_off_is_identity(rng):
     scene = make_scene(rng)
-    cfg = StandardAugmentConfig(
-        p_rotate=0.0, p_scale=0.0, p_flip_x=0.0, p_flip_y=0.0, p_jitter=0.0, p_dropout=0.0
-    )
-    out = standard_augment(scene, substream(0, "t"), cfg)
+    out = standard_augment(scene, substream(key_with_gates(scene, "t", *ALL_OFF), "t"))
     assert out.cloud.points.tobytes() == scene.cloud.points.tobytes()
     assert_array_equal(out.labels.labels, scene.labels.labels)
 
 
 def test_standard_augment_never_touches_intensity(rng):
     scene = make_scene(rng, n=1000)
-    cfg = StandardAugmentConfig(p_dropout=0.0)
-    out = standard_augment(scene, substream(4, "t"), cfg)
-    assert_array_equal(out.cloud.intensity, scene.cloud.intensity)
+    # Every geometric gate open, dropout closed.
+    key = key_with_gates(scene, "t", *(True,) * 5, False)
+    out = standard_augment(scene, substream(key, "t"))
+    assert np.any(out.cloud.points[:, :3] != scene.cloud.points[:, :3])
+    assert_array_equal(out.cloud.points[:, 3], scene.cloud.points[:, 3])
 
 
 def test_dropout_survivor_count_within_binomial_bound(rng):
     scene = make_scene(rng, n=10000)
-    cfg = StandardAugmentConfig(
-        p_rotate=0.0, p_scale=0.0, p_flip_x=0.0, p_flip_y=0.0, p_jitter=0.0, p_dropout=1.0
-    )
-    out = standard_augment(scene, substream(7, "drop"), cfg)
+    key = key_with_gates(scene, "drop", *DROPOUT_ONLY)
+    out = standard_augment(scene, substream(key, "drop"))
     assert 7700 <= out.cloud.n <= 8300
     assert out.labels.n == out.cloud.n
     # Same stream, same survivors.
-    again = standard_augment(scene, substream(7, "drop"), cfg)
+    again = standard_augment(scene, substream(key, "drop"))
     assert out.cloud.points.tobytes() == again.cloud.points.tobytes()
 
 
 def test_dropout_removes_labels_with_points(rng):
     scene = make_scene(rng, n=400, num_classes=4)
-    cfg = StandardAugmentConfig(
-        p_rotate=0.0, p_scale=0.0, p_flip_x=0.0, p_flip_y=0.0, p_jitter=0.0, p_dropout=1.0
-    )
-    out = standard_augment(scene, substream(11, "drop"), cfg)
+    key = key_with_gates(scene, "drop", *DROPOUT_ONLY)
+    out = standard_augment(scene, substream(key, "drop"))
+    assert out.cloud.n < scene.cloud.n
     # Survivors keep their own labels: match rows back by intensity,
     # which is untouched and unique with probability 1.
-    order = {v: i for i, v in enumerate(scene.cloud.intensity)}
-    for row, intensity in enumerate(out.cloud.intensity):
+    order = {v: i for i, v in enumerate(scene.cloud.points[:, 3])}
+    for row, intensity in enumerate(out.cloud.points[:, 3]):
         src = order[intensity]
         assert out.labels.labels[row] == scene.labels.labels[src]
 

@@ -283,6 +283,12 @@ def test_gradcheck_command_passes(capsys):
     assert "passed = true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cases", ["0", "-2"])
+def test_gradcheck_with_no_cases_exits_one(cases, capsys):
+    assert run_cli(["gradcheck", "--cases", cases]) == 1
+    assert capsys.readouterr().err == f"error: cases must be >= 1, got {cases}\n"
+
+
 def test_ablate_tiny_battery_writes_table_and_json(tmp_path, capsys):
     out = tmp_path / "ablation"
     code = run_cli([
@@ -298,6 +304,20 @@ def test_ablate_tiny_battery_writes_table_and_json(tmp_path, capsys):
     assert [entry["variant"] for entry in payload] == ["baseline", "cge", "full"]
     assert all(len(entry["epoch_totals"]) == 1 for entry in payload)
     assert "elapsed_seconds = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_ablate_without_test_scenes_exits_one_before_writing(count, tmp_path, capsys):
+    out = tmp_path / "ablation"
+    code = run_cli([
+        "ablate", "--out", str(out), "--seeds", "0", "--train_scenes", "2",
+        "--test_scenes", count, "--points", "40",
+    ] + FAST_TRAIN)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n_test must be >= 1, got {count}\n"
+    assert "nan" not in captured.out
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ exit codes
@@ -330,7 +350,7 @@ def test_subcommand_exceptions_map_to_exit_codes(exc, code, prefix, monkeypatch,
 @pytest.mark.parametrize("flag", [
     "--widths=", "--batch_size=0", "--geom_props=0", "--epochs=-1", "--lr=nan", "--sigma=0",
     "--momentum=nan", "--weight_decay=nan", "--lambda1=-1", "--lambda2=nan", "--epsilon=2",
-    "--fog_threshold=nan", "--fog_alpha_max=nan", "--h2=inf",
+    "--fog_threshold=nan", "--fog_alpha_max=nan", "--h2=inf", "--seed=-1",
 ])
 def test_train_rejects_a_bad_config_before_writing(flag, tmp_path, capsys):
     data = make_dataset(tmp_path)
@@ -340,6 +360,12 @@ def test_train_rejects_a_bad_config_before_writing(flag, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "checkpoint.gseg").exists()
+
+
+def test_train_rejects_a_negative_seed_before_reading_scenes(tmp_path, capsys):
+    code = run_cli(["train", "--data", str(tmp_path / "nowhere"), "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_a_non_finite_run_exits_two_without_a_checkpoint(tmp_path, capsys):

@@ -47,7 +47,8 @@ def unit_blocks(rng: np.random.Generator, c: int, d: int, m: int) -> EmbeddingMa
 
 def test_embedding_matrix_shape_and_validation(rng):
     emb = unit_blocks(rng, 3, 5, 2)
-    assert (emb.num_classes, emb.feature_dim, emb.num_properties) == (3, 5, 2)
+    assert emb.blocks.shape == (3, 5, 2)
+    assert (emb.num_classes, emb.num_properties) == (3, 2)
     norms = np.linalg.norm(emb.blocks.reshape(3, -1), axis=1)
     assert_allclose(norms, np.ones(3), atol=1e-12)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 
 from geoseg.gradcheck import (
     GradCheckCase,
+    GradCheckReport,
     check_case,
     composite_loss,
     composite_loss_value,
@@ -81,6 +82,12 @@ def test_battery_reports_and_passes():
     assert report.max_abs_diff < 1e-4
     lines = report.lines()
     assert "passed = true" in lines[-1]
+
+
+def test_a_report_that_checked_nothing_does_not_pass():
+    assert not GradCheckReport().passed
+    assert not GradCheckReport(cases=3).passed
+    assert GradCheckReport(cases=1, coords_checked=1).passed
 
 
 def test_battery_is_deterministic():

@@ -206,7 +206,7 @@ def test_sgd_two_steps_match_hand_unrolled_recurrence():
 
 
 def test_sgd_rejects_nonfinite_gradient_without_touching_params():
-    state = SgdState()
+    state = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
     params = [np.array([1.0]), np.array([2.0])]
     before = [p.copy() for p in params]
     with pytest.raises(FloatingPointError, match="parameter 1"):
@@ -217,7 +217,7 @@ def test_sgd_rejects_nonfinite_gradient_without_touching_params():
 
 def test_sgd_alignment_check():
     with pytest.raises(ValueError):
-        sgd_step(SgdState(), [np.zeros(1)], [])
+        sgd_step(SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4), [np.zeros(1)], [])
 
 
 # ----------------------------------------------------------------- checkpoint

@@ -70,11 +70,6 @@ def test_label_set_rejects_wide_ids():
         LabelSet(np.array([0, 70000]))
 
 
-def test_label_set_valid_mask():
-    ls = LabelSet(np.array([0, IGNORE_ID, 2], dtype=np.uint16))
-    assert ls.valid_mask().tolist() == [True, False, True]
-
-
 def test_class_table_validation():
     with pytest.raises(ValueError):
         ClassTable(())
@@ -132,7 +127,7 @@ def test_read_clamps_intensity(tmp_path):
     pts = np.array([[0, 0, 0, 1.5], [0, 0, 0, -0.25]], dtype="<f4")
     path = tmp_path / "hot.bin"
     path.write_bytes(pts.tobytes())
-    assert read_point_bin(path).intensity.tolist() == [1.0, 0.0]
+    assert read_point_bin(path).points[:, 3].tolist() == [1.0, 0.0]
 
 
 @settings(max_examples=25, deadline=None)

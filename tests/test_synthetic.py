@@ -79,10 +79,10 @@ def test_minimum_size_still_covers_every_class():
 def test_coordinates_respect_extent_and_intensity_bands():
     cfg = SynthConfig(points_per_scene=600, scene_extent=50.0)
     scene = generate_scene(cfg, 5)
-    assert np.all(np.abs(scene.cloud.xyz) <= 50.0)
+    assert np.all(np.abs(scene.cloud.points[:, :3]) <= 50.0)
     for c in range(6):
         lo, hi = intensity_band(c, 6)
-        vals = scene.cloud.intensity[scene.labels.labels == c]
+        vals = scene.cloud.points[scene.labels.labels == c, 3]
         # float32 quantization can nudge values by half an ulp.
         assert np.all(vals >= lo - 1e-6)
         assert np.all(vals <= hi + 1e-6)

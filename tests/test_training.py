@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.augment import standard_augment
+from geoseg import training
+from geoseg.augment import AugmentationConfig, standard_augment
 from geoseg.autodiff import GradientTape
 from geoseg.network import BoundModel, predict_logits, seg_loss, sgd_step, softmax
 from geoseg.scenes import IGNORE_ID, LabelSet, PointCloud, Scene
+from geoseg.sinkhorn import SinkhornConfig
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, default_class_table, make_split
 from geoseg.training import (
@@ -49,6 +51,8 @@ def test_config_builders_map_fields():
     assert aug.beta1 == 0.7
     sink = cfg.sinkhorn()
     assert (sink.sigma, sink.max_iters, sink.tol) == (0.3, 11, 1e-6)
+    assert TrainConfig().augmentation() == AugmentationConfig()
+    assert TrainConfig().sinkhorn() == SinkhornConfig()
 
 
 def test_init_state_is_deterministic_per_seed():
@@ -215,6 +219,13 @@ def test_evaluate_raises_on_non_finite_scores(tta):
 # ------------------------------------------------------------------- ablation
 
 
+def test_evaluate_rejects_an_empty_scene_list():
+    model = init_state(tiny_cfg(), TABLE).model
+    for tta in (False, True):
+        with pytest.raises(ValueError, match="no scenes"):
+            evaluate(model, [], TABLE, tta=tta)
+
+
 def test_variant_config_ladder():
     cfg = tiny_cfg(lambda1=1.0, lambda2=1.0)
     assert variant_config(cfg, "baseline").lambda1 == 0.0
@@ -259,6 +270,24 @@ def test_run_ablation_structure_and_means():
     lines = result.table_lines()
     assert any(line.startswith("miou_baseline_mean = ") for line in lines)
     assert any(line.startswith("miou_full_seed1 = ") for line in lines)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_test=0), "n_test must be >= 1"),
+    (dict(n_test=-1), "n_test must be >= 1"),
+    (dict(n_train=0), "n_train must be >= 1"),
+    (dict(seeds=()), "at least one seed"),
+], ids=["n_test=0", "n_test=-1", "n_train=0", "no-seeds"])
+def test_run_ablation_rejects_an_empty_battery_before_training(kwargs, match, monkeypatch):
+    def no_training(*args, **kw):
+        raise AssertionError("trained before the arguments were checked")
+
+    monkeypatch.setattr(training, "train", no_training)
+    args = dict(base_cfg=tiny_cfg(epochs=1), synth_cfg=SynthConfig(points_per_scene=60),
+                seeds=(0,), n_train=2, n_test=1)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        run_ablation(**args)
 
 
 def test_ablation_result_mean_with_tta_flag():
