@@ -2,10 +2,12 @@
 
 Deliberately tiny: the fused layers (network.BoundModel.forward and
 geometry_embedding.embed_var) record their own backward closures, and
-this module adds only the two ops the training loss needs on top of
-them: masked_cross_entropy and weighted_sum, the weighted total of the
-loss terms. Each op computes its value eagerly and pushes a closure onto
-the tape; GradientTape.backward seeds the scalar target with gradient 1
+this module adds only the three ops the training loss needs on top of
+them: masked_cross_entropy, weighted_sum, the weighted total of the
+loss terms, and merge_rows, which builds the adverse copy's rows from
+the clean pass and a pass over the rows the augmentation changed. Each
+op computes its value eagerly and pushes a closure onto the tape;
+GradientTape.backward seeds the scalar target with gradient 1
 and replays the closures in reverse, accumulating into Var.grad.
 Gradients of untouched leaves stay exactly zero. Constant arrays
 (anything passed as a plain ndarray) never receive gradients.
@@ -98,4 +100,28 @@ def masked_cross_entropy(logits: Var, labels: np.ndarray, ignore_id: int) -> Var
         logits.grad[idx] += (float(out.grad) / k) * p
 
     logits.tape.record(backward)
+    return out
+
+
+def merge_rows(clean: Var, clean_rows: np.ndarray, fresh: Var | None,
+               from_clean: np.ndarray) -> Var:
+    """Rows of two Vars interleaved into one, as one tape op.
+
+    Output row j is the next row of clean[clean_rows] where from_clean[j]
+    is true, and the next row of fresh (None when there is no such row)
+    where it is false. clean_rows holds no index twice, so the backward
+    scatter is a plain fancy-index +=.
+    """
+    value = np.empty((from_clean.size, clean.value.shape[1]))
+    value[from_clean] = clean.value[clean_rows]
+    if fresh is not None:
+        value[~from_clean] = fresh.value
+    out = Var(value, clean.tape)
+
+    def backward():
+        clean.grad[clean_rows] += out.grad[from_clean]
+        if fresh is not None:
+            fresh.grad += out.grad[~from_clean]
+
+    clean.tape.record(backward)
     return out

@@ -70,20 +70,33 @@ class GradCheckReport:
         ]
 
 
+def adverse_rows(
+    points: np.ndarray, labels: LabelSet, kind: np.ndarray, redraw
+) -> tuple[np.ndarray, LabelSet]:
+    """An adverse copy made row by row from the clean batch, as training
+    makes it: row i is kept where kind[i] is 0, replaced by a row of
+    redraw(count) where it is 1, and has its label masked where it is 2."""
+    points_aug = points.copy()
+    points_aug[kind == 1] = redraw(int(np.sum(kind == 1)))
+    raw = labels.labels.copy()
+    raw[kind == 2] = labels.ignore_id
+    return points_aug, LabelSet(raw, labels.ignore_id)
+
+
 def _random_case(rng: np.random.Generator, max_points: int) -> GradCheckCase:
     n = int(rng.integers(4, max_points + 1))
     model = PointNetLite.create(NUM_CLASSES, widths=(FEATURE_DIM, FEATURE_DIM), rng=rng)
 
-    def cloud_and_labels():
-        pts = np.column_stack(
-            [rng.uniform(-45.0, 45.0, size=(n, 3)), rng.uniform(0.0, 1.0, size=n)]
+    def cloud(count: int) -> np.ndarray:
+        return np.column_stack(
+            [rng.uniform(-45.0, 45.0, size=(count, 3)), rng.uniform(0.0, 1.0, size=count)]
         )
-        raw = rng.integers(0, NUM_CLASSES, size=n).astype(np.uint16)
-        raw[rng.random(n) < 0.15] = IGNORE_ID
-        return pts, LabelSet(raw)
 
-    points, labels = cloud_and_labels()
-    points_aug, labels_aug = cloud_and_labels()
+    points = cloud(n)
+    raw = rng.integers(0, NUM_CLASSES, size=n).astype(np.uint16)
+    raw[rng.random(n) < 0.15] = IGNORE_ID
+    labels = LabelSet(raw)
+    points_aug, labels_aug = adverse_rows(points, labels, rng.integers(0, 3, size=n), cloud)
     embedding = EmbeddingMatrix.initial(NUM_CLASSES, FEATURE_DIM, NUM_PROPERTIES, rng=rng)
     relation = RelationMatrix.initial(NUM_CLASSES, NUM_PROPERTIES, rng=rng)
     return GradCheckCase(model, relation, embedding, points, labels, points_aug, labels_aug)

@@ -7,7 +7,8 @@ One train step follows a fixed order so that runs are bit-reproducible:
      of the originals, when a loss uses it
   3. the composite loss (composite_loss): forward on the originals,
      segmentation cross-entropy, geometry embedding + property loss, then
-     forward on the adverse copy + consistency loss
+     the consistency loss on the adverse copy; only its rows that the
+     augmentation changed and that a loss reads go through the network
   4. backward, SGD update of model and relation matrix
   5. momentum update of the per-class geometry blocks from reliable points
 
@@ -29,7 +30,7 @@ from geoseg.augment import (
     rotate_z,
     standard_augment,
 )
-from geoseg.autodiff import GradientTape, Var, weighted_sum
+from geoseg.autodiff import GradientTape, Var, merge_rows, weighted_sum
 from geoseg.geometry_embedding import (
     EmbeddingMatrix,
     RelationMatrix,
@@ -222,6 +223,14 @@ def composite_loss(
 
     A term is built only when its gate is on; a term without valid points
     is left out, and total is None when every term is.
+
+    Adverse row i must be made from clean row i (ValueError if the shapes
+    differ). The adverse losses read only rows not labeled ignore_id; of
+    those, a row equal to its clean row reuses the clean pass's features
+    and logits, and only the rest go through the network again. The
+    values equal, bit for bit, those of a forward pass over the whole
+    adverse batch, unless exactly one row is fresh: numpy multiplies a
+    single row as a vector, whose sums may round differently.
     """
     tape = GradientTape()
     bound = BoundModel(model, tape)
@@ -235,11 +244,24 @@ def composite_loss(
         gpl = geometry_property_loss(relation_logits, labels)
     if cfg.uses_adverse:
         points_aug, labels_aug = adverse
-        features_aug, logits_aug = bound.forward(points_aug)
-        if cfg.lambda2 > 0:
-            gcl = geometry_consistency_loss(features_aug, embedding, relation_var, labels_aug)
-        if cfg.seg_on_augmented:
-            seg_aug = seg_loss(logits_aug, labels_aug)
+        if points_aug.shape != points.shape:
+            raise ValueError(
+                f"adverse points {points_aug.shape} do not align with points {points.shape}"
+            )
+        valid = np.nonzero(labels_aug.labels != labels_aug.ignore_id)[0]
+        if valid.size:
+            shared = np.all(points_aug == points, axis=1)[valid]
+            fresh = valid[~shared]
+            fresh_vars = bound.forward(points_aug[fresh]) if fresh.size else (None, None)
+            labels_valid = LabelSet(labels_aug.labels[valid], labels_aug.ignore_id)
+            if cfg.lambda2 > 0:
+                features_aug = merge_rows(features, valid[shared], fresh_vars[0], shared)
+                gcl = geometry_consistency_loss(
+                    features_aug, embedding, relation_var, labels_valid
+                )
+            if cfg.seg_on_augmented:
+                logits_aug = merge_rows(logits, valid[shared], fresh_vars[1], shared)
+                seg_aug = seg_loss(logits_aug, labels_valid)
     terms = [(seg, 1.0), (seg_aug, 1.0), (gpl, cfg.lambda1), (gcl, cfg.lambda2)]
     terms = [(p, w) for p, w in terms if p is not None]
     total = weighted_sum(terms) if terms else None

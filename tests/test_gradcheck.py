@@ -5,6 +5,7 @@ import numpy as np
 from geoseg.gradcheck import (
     GradCheckCase,
     GradCheckReport,
+    adverse_rows,
     check_case,
     composite_loss,
     composite_loss_value,
@@ -21,14 +22,17 @@ def small_case(seed=0, **gates) -> GradCheckCase:
     rng = substream(seed, "case")
     n = 6
     model = PointNetLite.create(3, widths=(4, 4), rng=rng)
-    pts = np.column_stack(
-        [rng.uniform(-45, 45, size=(n, 3)), rng.uniform(0, 1, size=n)]
-    )
-    pts_aug = np.column_stack(
-        [rng.uniform(-45, 45, size=(n, 3)), rng.uniform(0, 1, size=n)]
-    )
+
+    def cloud(count):
+        return np.column_stack(
+            [rng.uniform(-45, 45, size=(count, 3)), rng.uniform(0, 1, size=count)]
+        )
+
+    pts = cloud(n)
     labels = LabelSet(rng.integers(0, 3, size=n).astype(np.uint16))
-    labels_aug = LabelSet(rng.integers(0, 3, size=n).astype(np.uint16))
+    # Two rows each kept, redrawn and masked, so the adverse terms read
+    # clean-pass rows and rows of a pass of their own.
+    pts_aug, labels_aug = adverse_rows(pts, labels, np.arange(n) % 3, cloud)
     embedding = EmbeddingMatrix.initial(3, 4, 2, rng=rng)
     relation = RelationMatrix.initial(3, 2, rng=rng)
     return GradCheckCase(

@@ -7,8 +7,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from geoseg import training
 from geoseg.augment import AugmentationConfig, standard_augment
-from geoseg.autodiff import GradientTape
-from geoseg.network import BoundModel, predict_logits, seg_loss, sgd_step, softmax
+from geoseg.autodiff import GradientTape, Var, weighted_sum
+from geoseg.geometry_embedding import (
+    embed_var,
+    geometry_consistency_loss,
+    geometry_property_loss,
+)
+from geoseg.network import (
+    BoundModel,
+    forward_arrays,
+    predict_logits,
+    seg_loss,
+    sgd_step,
+    softmax,
+)
 from geoseg.scenes import IGNORE_ID, LabelSet, PointCloud, Scene
 from geoseg.sinkhorn import SinkhornConfig
 from geoseg.streams import substream
@@ -168,6 +180,114 @@ def test_progress_callback_sees_every_epoch():
     seen = []
     train(tiny_cfg(epochs=2), tiny_scenes(2), TABLE, progress=lambda e, s: seen.append(e))
     assert seen == [0, 1]
+
+
+# ------------------------------------------------------- adverse rows
+
+
+def adverse_batch(kind: str):
+    """A clean batch and an adverse copy made from it row by row.
+
+    "mixed" moves every third row, masks the label of the next and keeps
+    the rest; "shared" keeps every row and "masked" masks every label.
+    """
+    points, labels = training._concat(tiny_scenes(2), IGNORE_ID)
+    points_aug = points.copy()
+    raw = labels.labels.copy()
+    if kind == "mixed":
+        points_aug[0::3, :3] += 0.5
+        raw[1::3] = IGNORE_ID
+    elif kind == "masked":
+        raw[:] = IGNORE_ID
+    return (points, labels), (points_aug, LabelSet(raw))
+
+
+def full_pass_terms(state, batch, adverse, cfg) -> dict[str, Var | None]:
+    """The composite loss's terms with forward_arrays over every adverse row."""
+    tape = GradientTape()
+    relation = tape.leaf(state.relation.values)
+
+    def forward(points):
+        acts = forward_arrays(state.model, points)
+        return Var(acts[-2], tape), Var(acts[-1], tape)
+
+    (points, labels), (points_aug, labels_aug) = batch, adverse
+    features, logits = forward(points)
+    features_aug, logits_aug = forward(points_aug)
+    terms = {
+        "seg": seg_loss(logits, labels),
+        "gpl": geometry_property_loss(
+            embed_var(features, state.embedding, relation)[1], labels
+        ),
+        "gcl": geometry_consistency_loss(features_aug, state.embedding, relation, labels_aug),
+        "seg_aug": seg_loss(logits_aug, labels_aug),
+    }
+    weights = {"seg": 1.0, "seg_aug": float(cfg.seg_on_augmented), "gpl": cfg.lambda1,
+               "gcl": cfg.lambda2}
+    parts = [(terms[k], weights[k]) for k in ("seg", "seg_aug", "gpl", "gcl")]
+    terms["total"] = weighted_sum([(v, w) for v, w in parts if v is not None and w > 0])
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["mixed", "shared", "masked"])
+def test_adverse_terms_equal_a_pass_over_every_adverse_row(kind, monkeypatch):
+    cfg = tiny_cfg(seg_on_augmented=True)
+    state = init_state(cfg, TABLE)
+    batch, adverse = adverse_batch(kind)
+    # Record the rows each network pass reads, and the adverse seg term,
+    # which CompositeLoss does not keep.
+    rows, seg_terms = [], []
+    forward = BoundModel.forward
+    monkeypatch.setattr(BoundModel, "forward",
+                        lambda self, pts: rows.append(len(pts)) or forward(self, pts))
+    monkeypatch.setattr(training, "seg_loss",
+                        lambda *a: seg_terms.append(seg_loss(*a)) or seg_terms[-1])
+    loss = training.composite_loss(
+        state.model, state.relation, state.embedding, batch, adverse, cfg
+    )
+    got = {"seg": loss.seg, "gpl": loss.gpl, "gcl": loss.gcl, "total": loss.total,
+           "seg_aug": seg_terms[1] if len(seg_terms) > 1 else None}
+    want = full_pass_terms(state, batch, adverse, cfg)
+    assert {k: v and float(v.value).hex() for k, v in got.items()} == \
+        {k: v and float(v.value).hex() for k, v in want.items()}
+
+    n = batch[0].shape[0]
+    valid = adverse[1].labels != IGNORE_ID
+    changed = np.any(adverse[0] != batch[0], axis=1)
+    fresh = int(np.sum(valid & changed))
+    assert rows == ([n, fresh] if fresh else [n])
+    assert (fresh >= 2) == (kind == "mixed")
+    assert (loss.gcl is None) == (kind == "masked")
+    *_, relation_grad = loss.backward()
+    assert np.all(np.isfinite(relation_grad))
+
+
+def test_a_step_whose_adverse_labels_are_all_masked_still_runs(monkeypatch):
+    cfg = tiny_cfg()
+    compound = training.compound_augment
+
+    def mask_all(scene, *args):
+        out, report = compound(scene, *args)
+        ignored = LabelSet(np.full(out.labels.n, IGNORE_ID, dtype=np.uint16))
+        return Scene(out.cloud, ignored, out.id), report
+
+    monkeypatch.setattr(training, "compound_augment", mask_all)
+    state = init_state(cfg, TABLE)
+    losses = train_step(state, tiny_scenes(2), cfg, epoch=0)
+    assert not losses.skipped and math.isnan(losses.gcl)
+    assert losses.total == losses.seg + losses.gpl
+    assert state.step_count == 1
+
+
+def test_composite_loss_rejects_an_adverse_batch_that_does_not_align():
+    cfg = tiny_cfg()
+    state = init_state(cfg, TABLE)
+    (points, labels), _ = adverse_batch("shared")
+    short = (points[:-1], LabelSet(labels.labels[:-1]))
+    with pytest.raises(ValueError, match="do not align"):
+        training.composite_loss(
+            state.model, state.relation, state.embedding, (points, labels), short, cfg
+        )
 
 
 # ------------------------------------------------------------------ inference
