@@ -12,7 +12,7 @@ Two weather operators transform a scene:
     optical path, I' = I * exp(-2 * alpha * r) with r the Euclidean
     range. Points whose attenuated return falls strictly below
     fog_threshold become unrecognizable and have their label masked to
-    the ignore id; coordinates are never dropped.
+    IGNORE_ID; coordinates are never dropped.
 
 compound_augment draws independent Bernoulli gates for the two operators
 and applies them in the fixed order accumulation -> fog, consuming draws
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from geoseg.scenes import ClassTable, LabelSet, PointCloud, Scene
+from geoseg.scenes import IGNORE_ID, ClassTable, LabelSet, PointCloud, Scene
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,11 @@ def fog_attenuation(
     ranges = np.linalg.norm(points[:, :3], axis=1)
     points[:, 3] = points[:, 3] * np.exp(-2.0 * alpha * ranges)
     faint = points[:, 3] < cfg.fog_threshold
-    labels = np.where(faint, np.uint16(scene.labels.ignore_id), scene.labels.labels)
+    labels = np.where(faint, np.uint16(IGNORE_ID), scene.labels.labels)
     report = AugmentationReport(
         psi2_applied=True, labels_masked=int(faint.sum()), fog_alpha=alpha
     )
-    out = Scene(PointCloud(points), LabelSet(labels, scene.labels.ignore_id), scene.id)
+    out = Scene(PointCloud(points), LabelSet(labels), scene.id)
     return out, report
 
 
@@ -210,9 +210,7 @@ def standard_augment(scene: Scene, rng: np.random.Generator) -> Scene:
         keep = rng.random(points.shape[0]) >= STD_DROPOUT_RATE
         points = points[keep]
         labels = labels[keep]
-    return Scene(
-        PointCloud(points), LabelSet(labels, scene.labels.ignore_id), scene.id
-    )
+    return Scene(PointCloud(points), LabelSet(labels), scene.id)
 
 
 def scaled_for_severity(cfg: AugmentationConfig, severity: float) -> AugmentationConfig:

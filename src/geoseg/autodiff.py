@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from geoseg.scenes import IGNORE_ID
+
 
 class GradientTape:
     """Execution-ordered record of backward closures for one step."""
@@ -75,14 +77,14 @@ def weighted_sum(terms: list[tuple[Var, float]]) -> Var:
     return out
 
 
-def masked_cross_entropy(logits: Var, labels: np.ndarray, ignore_id: int) -> Var | None:
-    """Mean cross-entropy of softmax(logits) over points not labeled ignore_id.
+def masked_cross_entropy(logits: Var, labels: np.ndarray) -> Var | None:
+    """Mean cross-entropy of softmax(logits) over points not labeled IGNORE_ID.
 
     Returns None when every point is ignored; the caller treats that as a
     loss contributing zero with zero gradient.
     """
     labels = np.asarray(labels)
-    idx = np.nonzero(labels != ignore_id)[0]
+    idx = np.nonzero(labels != IGNORE_ID)[0]
     if idx.size == 0:
         return None
     picked = labels[idx].astype(np.int64)

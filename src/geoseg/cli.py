@@ -257,7 +257,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         args.config, _collect_overrides(args), base=ablation_base_config()
     )
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    synth_cfg = SynthConfig(points_per_scene=args.points)
+    synth_cfg = SynthConfig(points_per_scene=args.points, shift_severity=args.severity)
 
     def progress(run):
         print(f"miou_{run.variant}_seed{run.seed} = {run.miou:.6f}")
@@ -269,7 +269,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         seeds=seeds,
         n_train=args.train_scenes,
         n_test=args.test_scenes,
-        severity=args.severity,
         progress=progress,
     )
     elapsed = time.perf_counter() - start

@@ -171,7 +171,7 @@ def geometry_property_loss(logits: Var, labels: LabelSet) -> Var | None:
 
     Mean over non-ignored points; None when every point is ignored.
     """
-    return masked_cross_entropy(logits, labels.labels, labels.ignore_id)
+    return masked_cross_entropy(logits, labels.labels)
 
 
 def geometry_consistency_loss(

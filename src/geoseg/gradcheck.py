@@ -79,8 +79,8 @@ def adverse_rows(
     points_aug = points.copy()
     points_aug[kind == 1] = redraw(int(np.sum(kind == 1)))
     raw = labels.labels.copy()
-    raw[kind == 2] = labels.ignore_id
-    return points_aug, LabelSet(raw, labels.ignore_id)
+    raw[kind == 2] = IGNORE_ID
+    return points_aug, LabelSet(raw)
 
 
 def _random_case(rng: np.random.Generator, max_points: int) -> GradCheckCase:

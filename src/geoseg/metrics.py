@@ -11,16 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from geoseg.scenes import IGNORE_ID
 
-def confusion_matrix(
-    gt: np.ndarray, predictions: np.ndarray, num_classes: int, ignore_id: int
-) -> np.ndarray:
+
+def confusion_matrix(gt: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
     """(C, C) counts, rows ground truth, columns prediction."""
     gt = np.asarray(gt)
     predictions = np.asarray(predictions)
     if gt.shape != predictions.shape:
         raise ValueError(f"shape mismatch: {gt.shape} vs {predictions.shape}")
-    valid = gt != ignore_id
+    valid = gt != IGNORE_ID
     g = gt[valid].astype(np.int64)
     p = predictions[valid].astype(np.int64)
     if g.size and (p.min() < 0 or p.max() >= num_classes):

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from geoseg.autodiff import GradientTape, Var, masked_cross_entropy
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.scenes import LabelSet
+
+if TYPE_CHECKING:
+    from geoseg.training import TrainConfig
 
 COORD_SCALE = 50.0
 
@@ -149,37 +153,31 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def seg_loss(logits: Var, labels: LabelSet) -> Var | None:
     """Mean cross-entropy over non-ignored points; None if all are ignored."""
-    return masked_cross_entropy(logits, labels.labels, labels.ignore_id)
+    return masked_cross_entropy(logits, labels.labels)
 
 
-@dataclass
-class SgdState:
-    """Heavy-ball SGD with decoupled-as-written weight decay.
+def sgd_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    velocities: list[np.ndarray],
+    cfg: TrainConfig,
+) -> None:
+    """One in-place heavy-ball step with cfg's lr, momentum and weight_decay.
 
     Per parameter: v <- momentum * v + grad + weight_decay * param, then
-    param <- param - lr * v.
+    param <- param - lr * v. Raises FloatingPointError before touching
+    params or velocities.
     """
-
-    lr: float
-    momentum: float
-    weight_decay: float
-    velocities: list[np.ndarray] | None = field(default=None)
-
-
-def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One in-place update; raises FloatingPointError before touching params."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads must align")
+    if not len(params) == len(grads) == len(velocities):
+        raise ValueError("params, grads and velocities must align")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {i}")
-    if state.velocities is None:
-        state.velocities = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, state.velocities):
-        v *= state.momentum
+    for p, g, v in zip(params, grads, velocities):
+        v *= cfg.momentum
         v += g
-        v += state.weight_decay * p
-        p -= state.lr * v
+        v += cfg.weight_decay * p
+        p -= cfg.lr * v
 
 
 def save_checkpoint(

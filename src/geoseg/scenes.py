@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,10 +61,11 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Per-point semantic ids; ignore_id marks points excluded from losses and metrics."""
+    """Per-point semantic ids; IGNORE_ID marks points excluded from losses and metrics."""
 
     labels: np.ndarray
-    ignore_id: int = IGNORE_ID
+    # Not a field: every label set shares IGNORE_ID. bench/ reads labels.ignore_id.
+    ignore_id: ClassVar[int] = IGNORE_ID
 
     def __post_init__(self):
         arr = np.asarray(self.labels)
@@ -142,7 +144,7 @@ def write_point_bin(cloud: PointCloud, path: str | Path) -> None:
 
 
 def read_label_file(path: str | Path, table: ClassTable) -> LabelSet:
-    """Parse a uint32 label file; ids outside the table map to ignore_id."""
+    """Parse a uint32 label file; ids outside the table map to IGNORE_ID."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) % LABEL_RECORD_BYTES:

@@ -13,7 +13,8 @@ round trip through the binary format is bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def default_class_table() -> ClassTable:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    classes: ClassTable = field(default_factory=default_class_table)
+    classes: ClassVar[ClassTable] = default_class_table()
     points_per_scene: int = 600
     scene_extent: float = 50.0
     shift_severity: float = 1.0

@@ -20,7 +20,7 @@ original (non-augmented) features and receive no gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from geoseg.metrics import MetricsReport, confusion_matrix
 from geoseg.network import (
     BoundModel,
     PointNetLite,
-    SgdState,
     predict_logits,
     seg_loss,
     sgd_step,
@@ -118,16 +117,7 @@ class TrainConfig:
 
     def augmentation(self) -> AugmentationConfig:
         return AugmentationConfig(
-            beta1=self.beta1,
-            beta2=self.beta2,
-            rho=self.rho,
-            h1=self.h1,
-            h2=self.h2,
-            gamma1=self.gamma1,
-            gamma2=self.gamma2,
-            fog_alpha_max=self.fog_alpha_max,
-            fog_threshold=self.fog_threshold,
-            accumulate_all=self.accumulate_all,
+            **{f.name: getattr(self, f.name) for f in fields(AugmentationConfig)}
         )
 
     def sinkhorn(self) -> SinkhornConfig:
@@ -143,10 +133,13 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """What training updates; velocities are the SGD momentum buffers of
+    model.parameters() + [relation.values], in that order."""
+
     model: PointNetLite
     embedding: EmbeddingMatrix
     relation: RelationMatrix
-    sgd: SgdState
+    velocities: list[np.ndarray]
     table: ClassTable
     step_count: int = 0
 
@@ -175,18 +168,18 @@ def init_state(cfg: TrainConfig, table: ClassTable) -> TrainState:
     relation = RelationMatrix.initial(
         table.num_classes, cfg.geom_props, rng=substream(cfg.seed, "init-relation")
     )
-    sgd = SgdState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return TrainState(model, embedding, relation, sgd, table)
+    velocities = [np.zeros_like(p) for p in model.parameters() + [relation.values]]
+    return TrainState(model, embedding, relation, velocities, table)
 
 
-def _concat(scenes: list[Scene], ignore_id: int) -> tuple[np.ndarray, LabelSet]:
+def _concat(scenes: list[Scene]) -> tuple[np.ndarray, LabelSet]:
     if scenes:
         points = np.concatenate([s.cloud.points for s in scenes], axis=0)
         labels = np.concatenate([s.labels.labels for s in scenes])
     else:
         points = np.empty((0, 4))
         labels = np.empty(0, dtype=np.uint16)
-    return points, LabelSet(labels, ignore_id)
+    return points, LabelSet(labels)
 
 
 @dataclass
@@ -225,7 +218,7 @@ def composite_loss(
     is left out, and total is None when every term is.
 
     Adverse row i must be made from clean row i (ValueError if the shapes
-    differ). The adverse losses read only rows not labeled ignore_id; of
+    differ). The adverse losses read only rows not labeled IGNORE_ID; of
     those, a row equal to its clean row reuses the clean pass's features
     and logits, and only the rest go through the network again. The
     values equal, bit for bit, those of a forward pass over the whole
@@ -248,12 +241,12 @@ def composite_loss(
             raise ValueError(
                 f"adverse points {points_aug.shape} do not align with points {points.shape}"
             )
-        valid = np.nonzero(labels_aug.labels != labels_aug.ignore_id)[0]
+        valid = np.nonzero(labels_aug.labels != IGNORE_ID)[0]
         if valid.size:
             shared = np.all(points_aug == points, axis=1)[valid]
             fresh = valid[~shared]
             fresh_vars = bound.forward(points_aug[fresh]) if fresh.size else (None, None)
-            labels_valid = LabelSet(labels_aug.labels[valid], labels_aug.ignore_id)
+            labels_valid = LabelSet(labels_aug.labels[valid])
             if cfg.lambda2 > 0:
                 features_aug = merge_rows(features, valid[shared], fresh_vars[0], shared)
                 gcl = geometry_consistency_loss(
@@ -273,18 +266,17 @@ def train_step(
 ) -> StepLosses:
     """One optimization step over a batch of scenes; raises FloatingPointError
     before any update if the total loss is not finite."""
-    ignore_id = batch[0].labels.ignore_id if batch else IGNORE_ID
     originals = [
         standard_augment(s, substream(cfg.seed, "std-aug", epoch, s.id)) for s in batch
     ]
-    points, labels = _concat(originals, ignore_id)
+    points, labels = _concat(originals)
     adverse = None
     if cfg.uses_adverse:
         aug_cfg = cfg.augmentation()
         adverse = _concat([
             compound_augment(s, state.table, aug_cfg, substream(cfg.seed, "pags", epoch, s.id))[0]
             for s in originals
-        ], ignore_id)
+        ])
 
     loss = composite_loss(
         state.model, state.relation, state.embedding, (points, labels), adverse, cfg
@@ -296,7 +288,7 @@ def train_step(
     if not math.isfinite(total):
         raise FloatingPointError(f"non-finite total loss {total} at step {state.step_count}")
     params = state.model.parameters() + [state.relation.values]
-    sgd_step(state.sgd, params, loss.backward())
+    sgd_step(params, loss.backward(), state.velocities, cfg)
 
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:
         emb = state.embedding
@@ -308,7 +300,7 @@ def train_step(
         raw = labels.labels
         updates = {}
         sink_cfg = cfg.sinkhorn()
-        for class_id in np.unique(raw[raw != ignore_id]):
+        for class_id in np.unique(raw[raw != IGNORE_ID]):
             class_id = int(class_id)
             if state.step_count == 0:
                 # No trustworthy predictions yet; every labeled point counts.
@@ -410,7 +402,7 @@ def evaluate(
             kind = "TTA probabilities" if tta else "logits"
             raise FloatingPointError(f"non-finite {kind} on scene {scene.id}")
         preds = np.argmax(scores, axis=1)
-        conf += confusion_matrix(scene.labels.labels, preds, c, scene.labels.ignore_id)
+        conf += confusion_matrix(scene.labels.labels, preds, c)
     return MetricsReport.from_confusion(conf)
 
 
@@ -475,28 +467,30 @@ def run_ablation(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     n_train: int = 200,
     n_test: int = 50,
-    severity: float = 1.5,
     progress=None,
 ) -> AblationResult:
     """Train the component ladder per seed on a shared shifted split.
 
-    Every variant of a seed sees identical data and identical named RNG
-    substreams; the variants differ only in which losses are active.
-    Empty seeds, or fewer than one train or test scene, raise ValueError
-    before anything is trained.
+    The test split is shifted at synth_cfg.shift_severity (1.5 when
+    synth_cfg is None). Every variant of a seed sees identical data and
+    identical named RNG substreams; the variants differ only in which
+    losses are active. Empty or repeated seeds, or fewer than one train or
+    test scene, raise ValueError before anything is trained.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
     if base_cfg is None:
         base_cfg = ablation_base_config()
     if synth_cfg is None:
-        synth_cfg = SynthConfig()
+        synth_cfg = SynthConfig(shift_severity=1.5)
     runs: list[AblationRun] = []
     for seed in seeds:
-        scfg = replace(synth_cfg, seed=seed, shift_severity=severity)
+        scfg = replace(synth_cfg, seed=seed)
         train_scenes, test_scenes = make_split(scfg, n_train, n_test)
         for variant in VARIANTS:
             cfg = variant_config(replace(base_cfg, seed=seed), variant)

@@ -9,6 +9,11 @@ Trains five loss configurations on 16 clean 300-point scenes
   step losses (packed `<4d?`: seg, gpl, gcl, total, skipped), model
   parameters, relation matrix, embedding blocks, TTA confusion matrix.
 
+BLAS runs on one thread: the script sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy is imported,
+because a multi-threaded matmul may sum in another order and print other
+digests for the same code.
+
 A change that claims unchanged numerics must print the same lines before
 and after. Not collected by pytest; run it as a script:
 
@@ -19,10 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import os
 import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 if importlib.util.find_spec("geoseg") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))

@@ -138,22 +138,20 @@ def test_saturated_softmax_has_negligible_loss():
     labels = np.array([1, 2, 0], dtype=np.uint16)
     logits[np.arange(3), labels] = 50.0
     tape = GradientTape()
-    out = masked_cross_entropy(tape.leaf(logits), labels, IGNORE)
+    out = masked_cross_entropy(tape.leaf(logits), labels)
     assert float(out.value) < 1e-8
 
 
 def test_uniform_softmax_loss_is_log_c():
     tape = GradientTape()
-    out = masked_cross_entropy(
-        tape.leaf(np.zeros((4, 19))), np.zeros(4, dtype=np.uint16), IGNORE
-    )
+    out = masked_cross_entropy(tape.leaf(np.zeros((4, 19))), np.zeros(4, dtype=np.uint16))
     assert_allclose(float(out.value), math.log(19.0), atol=1e-12)
 
 
 def test_all_ignored_returns_none():
     tape = GradientTape()
     labels = np.full(3, IGNORE, dtype=np.uint16)
-    assert masked_cross_entropy(tape.leaf(np.ones((3, 2))), labels, IGNORE) is None
+    assert masked_cross_entropy(tape.leaf(np.ones((3, 2))), labels) is None
 
 
 def test_matches_scalar_oracle_and_ignores_masked(rng):
@@ -161,7 +159,7 @@ def test_matches_scalar_oracle_and_ignores_masked(rng):
     labels = np.array([0, 2, IGNORE, 1, IGNORE, 2], dtype=np.uint16)
     tape = GradientTape()
     logits = tape.leaf(logits0)
-    out = masked_cross_entropy(logits, labels, IGNORE)
+    out = masked_cross_entropy(logits, labels)
     assert_allclose(float(out.value), ce_oracle(logits0, labels), atol=1e-10)
     tape.backward(out)
     fd = finite_difference(lambda: ce_oracle(logits0, labels), logits0)
@@ -178,7 +176,7 @@ def test_gradient_scales_with_upstream_factor(rng):
     def grads(factor):
         tape = GradientTape()
         logits = tape.leaf(logits0)
-        out = masked_cross_entropy(logits, labels, IGNORE)
+        out = masked_cross_entropy(logits, labels)
         tape.backward(weighted_sum([(out, factor)]))
         return logits.grad
 

@@ -86,6 +86,31 @@ def test_config_lines_round_trip_every_field_type():
     assert rebuilt == cfg
 
 
+def readme_train_keys() -> dict[str, str]:
+    """The README's training config keys table as {key: default text}; a
+    paired row such as `beta1`, `beta2` | 0.3, 0.5 gives one entry per key."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Training config keys", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    out = {}
+    for row in rows:
+        keys, defaults = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        keys = [k.strip().strip("`") for k in keys.split(",")]
+        defaults = [defaults] if len(keys) == 1 else [d.strip() for d in defaults.split(",")]
+        assert len(keys) == len(defaults), row
+        out.update(zip(keys, defaults))
+    return out
+
+
+def test_readme_config_table_matches_the_defaults():
+    documented = readme_train_keys()
+    actual = dict(line.split(" = ", 1) for line in config_lines(TrainConfig()))
+    assert list(documented) == list(actual)
+    for key, text in documented.items():
+        parse = cli._PARSERS[TRAIN_KEYS[key]]
+        assert parse(text) == parse(actual[key]), key
+
+
 def test_every_train_key_has_a_parser():
     assert set(TRAIN_KEYS) == {
         f.name for f in __import__("dataclasses").fields(TrainConfig)
@@ -306,16 +331,23 @@ def test_ablate_tiny_battery_writes_table_and_json(tmp_path, capsys):
     assert "elapsed_seconds = " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_ablate_without_test_scenes_exits_one_before_writing(count, tmp_path, capsys):
+@pytest.mark.parametrize("seeds, count, err", [
+    ("0", "0", "n_test must be >= 1, got 0"),
+    ("0", "-1", "n_test must be >= 1, got -1"),
+    ("0,0,1", "1", "seeds must be distinct, got (0, 0, 1)"),
+], ids=["0", "-1", "repeated-seeds"])
+def test_ablate_without_test_scenes_exits_one_before_writing(
+    seeds, count, err, tmp_path, capsys
+):
+    """No test scene, or a seed given twice, exits 1 before anything trains."""
     out = tmp_path / "ablation"
     code = run_cli([
-        "ablate", "--out", str(out), "--seeds", "0", "--train_scenes", "2",
+        "ablate", "--out", str(out), "--seeds", seeds, "--train_scenes", "2",
         "--test_scenes", count, "--points", "40",
     ] + FAST_TRAIN)
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: n_test must be >= 1, got {count}\n"
+    assert captured.err == f"error: {err}\n"
     assert "nan" not in captured.out
     assert not out.exists()
 

@@ -33,7 +33,7 @@ def iou_oracle(gt, preds, c, ignore):
 
 def test_perfect_predictions_give_unit_iou():
     gt = np.array([0, 1, 2, 1, 0], dtype=np.uint16)
-    conf = confusion_matrix(gt, gt, 4, IGNORE_ID)
+    conf = confusion_matrix(gt, gt, 4)
     iou, present, miou = iou_from_confusion(conf)
     assert_array_equal(present, [True, True, True, False])
     assert_allclose(iou[:3], np.ones(3))
@@ -44,7 +44,7 @@ def test_perfect_predictions_give_unit_iou():
 def test_disjoint_predictions_give_zero_iou():
     gt = np.array([0, 0, 0], dtype=np.uint16)
     preds = np.array([1, 1, 1])
-    iou, present, miou = iou_from_confusion(confusion_matrix(gt, preds, 2, IGNORE_ID))
+    iou, present, miou = iou_from_confusion(confusion_matrix(gt, preds, 2))
     assert iou[0] == 0.0
     assert present.tolist() == [True, False]
     assert miou == 0.0
@@ -53,18 +53,16 @@ def test_disjoint_predictions_give_zero_iou():
 def test_ignored_points_contribute_nothing():
     gt = np.array([0, IGNORE_ID, 1], dtype=np.uint16)
     preds = np.array([0, 1, 1])
-    conf = confusion_matrix(gt, preds, 2, IGNORE_ID)
+    conf = confusion_matrix(gt, preds, 2)
     assert conf.sum() == 2
     assert_array_equal(conf, [[1, 0], [0, 1]])
 
 
 def test_validation():
     with pytest.raises(ValueError, match="shape"):
-        confusion_matrix(np.zeros(3, dtype=np.uint16), np.zeros(2), 2, IGNORE_ID)
+        confusion_matrix(np.zeros(3, dtype=np.uint16), np.zeros(2), 2)
     with pytest.raises(ValueError, match="outside"):
-        confusion_matrix(
-            np.zeros(2, dtype=np.uint16), np.array([0, 5]), 2, IGNORE_ID
-        )
+        confusion_matrix(np.zeros(2, dtype=np.uint16), np.array([0, 5]), 2)
 
 
 def test_empty_confusion_has_nan_miou():
@@ -82,7 +80,7 @@ def test_random_case_matches_set_arithmetic_oracle(seed):
     gt = rng.integers(0, c, size=50).astype(np.uint16)
     gt[rng.random(50) < 0.1] = IGNORE_ID
     preds = rng.integers(0, c, size=50)
-    conf = confusion_matrix(gt, preds, c, IGNORE_ID)
+    conf = confusion_matrix(gt, preds, c)
     assert_array_equal(conf, confusion_oracle(gt, preds, c, IGNORE_ID))
     iou, present, miou = iou_from_confusion(conf)
     expected = iou_oracle(gt, preds, c, IGNORE_ID)
@@ -99,7 +97,7 @@ def test_random_case_matches_set_arithmetic_oracle(seed):
 def test_report_lines_and_json():
     gt = np.array([0, 1, 1], dtype=np.uint16)
     preds = np.array([0, 1, 0])
-    report = MetricsReport.from_confusion(confusion_matrix(gt, preds, 3, IGNORE_ID))
+    report = MetricsReport.from_confusion(confusion_matrix(gt, preds, 3))
     lines = report.lines(("ground", "car", "tree"))
     assert lines[0] == "iou_ground = 0.500000"
     assert lines[1] == "iou_car = 0.500000"

@@ -16,7 +16,6 @@ from geoseg.network import (
     CheckpointFormatError,
     BoundModel,
     PointNetLite,
-    SgdState,
     load_checkpoint,
     predict_logits,
     save_checkpoint,
@@ -26,6 +25,7 @@ from geoseg.network import (
 )
 from geoseg.scenes import IGNORE_ID, LabelSet
 from geoseg.streams import substream
+from geoseg.training import TrainConfig
 
 
 def scalar_forward_oracle(model: PointNetLite, point: np.ndarray):
@@ -175,23 +175,24 @@ def test_two_forwards_accumulate_into_shared_parameters(rng):
 
 
 def test_sgd_noop_when_everything_is_zero():
-    state = SgdState(lr=0.5, momentum=0.9, weight_decay=0.0)
+    cfg = TrainConfig(lr=0.5, momentum=0.9, weight_decay=0.0)
     param = np.array([1.0, -2.0])
-    sgd_step(state, [param], [np.zeros(2)])
+    sgd_step([param], [np.zeros(2)], [np.zeros(2)], cfg)
     assert_array_equal(param, [1.0, -2.0])
 
 
 def test_sgd_single_scalar_step():
-    state = SgdState(lr=0.1, momentum=0.0, weight_decay=0.0)
+    cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
     param = np.array([1.0])
-    sgd_step(state, [param], [np.array([1.0])])
+    sgd_step([param], [np.array([1.0])], [np.zeros(1)], cfg)
     assert param[0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_sgd_two_steps_match_hand_unrolled_recurrence():
     lr, mom, wd = 0.24, 0.9, 1e-4
-    state = SgdState(lr=lr, momentum=mom, weight_decay=wd)
+    cfg = TrainConfig(lr=lr, momentum=mom, weight_decay=wd)
     param = np.array([0.7])
+    velocities = [np.zeros(1)]
     g1, g2 = 0.3, -0.2
 
     p, v = 0.7, 0.0
@@ -200,24 +201,26 @@ def test_sgd_two_steps_match_hand_unrolled_recurrence():
     v = mom * v + g2 + wd * p
     p = p - lr * v
 
-    sgd_step(state, [param], [np.array([g1])])
-    sgd_step(state, [param], [np.array([g2])])
+    sgd_step([param], [np.array([g1])], velocities, cfg)
+    sgd_step([param], [np.array([g2])], velocities, cfg)
     assert param[0] == pytest.approx(p, abs=1e-15)
 
 
 def test_sgd_rejects_nonfinite_gradient_without_touching_params():
-    state = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-4)
     params = [np.array([1.0]), np.array([2.0])]
     before = [p.copy() for p in params]
+    velocities = [np.zeros(1), np.zeros(1)]
     with pytest.raises(FloatingPointError, match="parameter 1"):
-        sgd_step(state, params, [np.array([0.1]), np.array([np.nan])])
+        sgd_step(params, [np.array([0.1]), np.array([np.nan])], velocities, cfg)
     for p, b in zip(params, before):
         assert_array_equal(p, b)
 
 
 def test_sgd_alignment_check():
+    cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-4)
     with pytest.raises(ValueError):
-        sgd_step(SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4), [np.zeros(1)], [])
+        sgd_step([np.zeros(1)], [], [np.zeros(1)], cfg)
 
 
 # ----------------------------------------------------------------- checkpoint

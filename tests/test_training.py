@@ -101,9 +101,10 @@ def test_degenerate_step_equals_plain_cross_entropy_training():
     tape.backward(loss)
     relation_grad = np.zeros_like(reference.relation.values)
     sgd_step(
-        reference.sgd,
         reference.model.parameters() + [reference.relation.values],
         bound.gradients() + [relation_grad],
+        reference.velocities,
+        cfg,
     )
 
     for got, want in zip(state.model.parameters(), reference.model.parameters()):
@@ -191,7 +192,7 @@ def adverse_batch(kind: str):
     "mixed" moves every third row, masks the label of the next and keeps
     the rest; "shared" keeps every row and "masked" masks every label.
     """
-    points, labels = training._concat(tiny_scenes(2), IGNORE_ID)
+    points, labels = training._concat(tiny_scenes(2))
     points_aug = points.copy()
     raw = labels.labels.copy()
     if kind == "mixed":
@@ -318,7 +319,7 @@ def test_evaluate_matches_manual_confusion():
     conf = np.zeros((6, 6), dtype=np.int64)
     for scene in scenes:
         preds = np.argmax(predict_logits(state.model, scene.cloud.points), axis=1)
-        conf += confusion_matrix(scene.labels.labels, preds, 6, IGNORE_ID)
+        conf += confusion_matrix(scene.labels.labels, preds, 6)
     expected = MetricsReport.from_confusion(conf)
     assert_array_equal(report.confusion, expected.confusion)
     assert report.miou == expected.miou
@@ -367,14 +368,13 @@ def test_ablation_base_config_diverges_only_where_calibrated():
 
 def test_run_ablation_structure_and_means():
     cfg = tiny_cfg(epochs=1)
-    synth = SynthConfig(points_per_scene=60)
+    synth = SynthConfig(points_per_scene=60, shift_severity=1.0)
     result = run_ablation(
         base_cfg=cfg,
         synth_cfg=synth,
         seeds=(0, 1),
         n_train=2,
         n_test=1,
-        severity=1.0,
     )
     assert len(result.runs) == 6
     assert {r.seed for r in result.runs} == {0, 1}
@@ -397,7 +397,8 @@ def test_run_ablation_structure_and_means():
     (dict(n_test=-1), "n_test must be >= 1"),
     (dict(n_train=0), "n_train must be >= 1"),
     (dict(seeds=()), "at least one seed"),
-], ids=["n_test=0", "n_test=-1", "n_train=0", "no-seeds"])
+    (dict(seeds=(0, 0, 1)), "seeds must be distinct"),
+], ids=["n_test=0", "n_test=-1", "n_train=0", "no-seeds", "repeated-seeds"])
 def test_run_ablation_rejects_an_empty_battery_before_training(kwargs, match, monkeypatch):
     def no_training(*args, **kw):
         raise AssertionError("trained before the arguments were checked")
@@ -408,6 +409,29 @@ def test_run_ablation_rejects_an_empty_battery_before_training(kwargs, match, mo
     args.update(kwargs)
     with pytest.raises(ValueError, match=match):
         run_ablation(**args)
+
+
+class _SplitMade(Exception):
+    pass
+
+
+@pytest.mark.parametrize("synth_cfg, severity", [
+    (SynthConfig(points_per_scene=60, shift_severity=0.7), 0.7),
+    (None, 1.5),
+], ids=["given", "default"])
+def test_run_ablation_shifts_the_test_split_at_the_synth_config_severity(
+    synth_cfg, severity, monkeypatch
+):
+    seen = []
+
+    def record_split(cfg, n_train, n_test):
+        seen.append(cfg)
+        raise _SplitMade
+
+    monkeypatch.setattr(training, "make_split", record_split)
+    with pytest.raises(_SplitMade):
+        run_ablation(base_cfg=tiny_cfg(epochs=1), synth_cfg=synth_cfg, seeds=(3,))
+    assert [(cfg.shift_severity, cfg.seed) for cfg in seen] == [(severity, 3)]
 
 
 def test_ablation_result_mean_with_tta_flag():
