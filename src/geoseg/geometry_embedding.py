@@ -8,6 +8,11 @@ touched by gradient descent. A trainable (C*M) x C relation matrix maps
 the flattened activations back to class logits for two losses: one on
 original features and one on features of the adversely augmented copy,
 which pulls the augmented geometry toward the clean-class structure.
+
+Neither path builds the (N, C*M) geometry of a whole batch. The losses
+fold the blocks into the relation matrix first, flat2d() @ Q, a D x C
+matrix, so the logits cost one N x D x C product. A class's plan needs
+only its reliable rows under its own block, features[rel] @ A_c.
 """
 
 from __future__ import annotations
@@ -91,34 +96,41 @@ def embed(features: np.ndarray, embedding: EmbeddingMatrix) -> np.ndarray:
     return (features @ embedding.flat2d()).reshape(n, c, m)
 
 
-def embed_var(features: Var, embedding: EmbeddingMatrix, relation: Var) -> tuple[np.ndarray, Var]:
-    """Flat geometry G = F @ flat2d(), shape (N, C*M) in flat2d's column
-    order, as a plain array, and the relation logits G @ Q as one tape op.
+def embed_var(features: Var, embedding: EmbeddingMatrix, relation: Var) -> Var:
+    """Relation logits G @ Q of the flat geometry G = F @ flat2d(), as one
+    tape op, shape (N, C).
 
-    The embedding is a constant: gradients reach the features and the
-    relation matrix only.
+    They are computed as F @ (flat2d() @ Q): the (N, C*M) geometry is never
+    built, forward or backward. The embedding is a constant: gradients
+    reach the features and the relation matrix only.
     """
     flat = embedding.flat2d()
-    geometry = features.value @ flat
-    logits = Var(geometry @ relation.value, features.tape)
+    mixed = flat @ relation.value
+    logits = Var(features.value @ mixed, features.tape)
 
     def backward():
-        relation.grad += geometry.T @ logits.grad
-        features.grad += (logits.grad @ relation.value.T) @ flat.T
+        relation.grad += flat.T @ (features.value.T @ logits.grad)
+        features.grad += logits.grad @ mixed.T
 
     features.tape.record(backward)
-    return geometry, logits
+    return logits
 
 
 def class_plan(
-    geometry: np.ndarray, class_id: int, indices: np.ndarray, cfg: SinkhornConfig
+    features: np.ndarray,
+    embedding: EmbeddingMatrix,
+    class_id: int,
+    indices: np.ndarray,
+    cfg: SinkhornConfig,
 ) -> TransportPlan:
-    """Transport plan over one class's (N, C, M) geometry slice.
+    """Transport plan between the given points of one class and its M
+    property slots.
 
-    Rows are the given points of the class, columns the M property slots;
-    the cost is the geometry slice itself.
+    The cost is the points' geometry under the class's block,
+    features[indices] @ A_c: the slice [indices, class_id, :] of
+    embed(features, embedding), built for those rows and that block only.
     """
-    return solve(geometry[indices, class_id, :], cfg)
+    return solve(features[indices] @ embedding.blocks[class_id], cfg)
 
 
 def class_update(features: np.ndarray, plan: TransportPlan, reliable: np.ndarray) -> np.ndarray:
@@ -181,5 +193,4 @@ def geometry_consistency_loss(
     labels_aug: LabelSet,
 ) -> Var | None:
     """Property loss on augmented features embedded with the clean-data blocks."""
-    _, logits = embed_var(features_aug, embedding, relation)
-    return geometry_property_loss(logits, labels_aug)
+    return geometry_property_loss(embed_var(features_aug, embedding, relation), labels_aug)

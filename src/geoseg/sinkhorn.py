@@ -21,11 +21,15 @@ Fallback: at or above the bound (tiny sigma against the cost's spread),
 the same iteration runs on the log potentials log u and log v with
 log-sum-exp, which never underflows.
 
-Both paths stop once the L1 residual of both marginals drops below tol
-or max_iters is reached. The residual is read from the products the next
-half-step needs (u * K v and v * K^T u), so the plan is built once, after
-the loop; the reported residual is recomputed from that plan.
-Non-convergence is reported via the residual, never raised.
+Both paths stop once the L1 residual of the row marginal drops below tol
+or max_iters is reached. The column marginal needs no check: each
+iteration ends with the column update v = b / K^T u, so the columns of
+diag(u) K diag(v) sum to v * K^T u = b in exact arithmetic, and in float64
+they are off by rounding only (below 1e-16 at the sizes training solves,
+against tol 1e-8). The row sums are u * K v, read from the product K v
+that the next row update needs, so the plan is built once, after the
+loop; the reported residual, of both marginals, is recomputed from that
+plan. Non-convergence is reported via the residual, never raised.
 """
 
 from __future__ import annotations
@@ -93,13 +97,14 @@ def _scaling(
     kernel = np.exp(-shifted)
     kernel_t = np.ascontiguousarray(kernel.T)
     kv = kernel.sum(axis=1)  # K v with v = 1
+    row = np.empty_like(a)
     for it in range(1, cfg.max_iters + 1):
         u = a / kv
-        ktu = kernel_t @ u
-        v = b / ktu
+        v = b / (kernel_t @ u)
         kv = kernel @ v
-        residual = np.abs(u * kv - a).sum() + np.abs(v * ktu - b).sum()
-        if residual < cfg.tol:
+        np.multiply(u, kv, out=row)
+        np.subtract(row, a, out=row)
+        if np.add.reduce(np.abs(row, out=row)) < cfg.tol:
             break
     return u[:, None] * kernel * v[None, :], it
 
@@ -112,13 +117,14 @@ def _log_scaling(
     log_a = np.log(a)
     log_b = np.log(b)
     row_lse = _logsumexp(log_k, axis=1)  # g = 0
+    row = np.empty_like(a)
     for it in range(1, cfg.max_iters + 1):
         f = log_a - row_lse
-        col_lse = _logsumexp(log_k + f[:, None], axis=0)
-        g = log_b - col_lse
+        g = log_b - _logsumexp(log_k + f[:, None], axis=0)
         row_lse = _logsumexp(log_k + g[None, :], axis=1)
-        residual = np.abs(np.exp(f + row_lse) - a).sum() + np.abs(np.exp(g + col_lse) - b).sum()
-        if residual < cfg.tol:
+        np.exp(np.add(f, row_lse, out=row), out=row)
+        np.subtract(row, a, out=row)
+        if np.add.reduce(np.abs(row, out=row)) < cfg.tol:
             break
     return np.exp(f[:, None] + log_k + g[None, :]), it
 

@@ -6,11 +6,13 @@ One train step follows a fixed order so that runs are bit-reproducible:
   2. adverse compound augmentation        (stream "pags", epoch, scene id)
      of the originals, when a loss uses it
   3. the composite loss (composite_loss): forward on the originals,
-     segmentation cross-entropy, geometry embedding + property loss, then
+     segmentation cross-entropy, relation logits + property loss, then
      the consistency loss on the adverse copy; only its rows that the
      augmentation changed and that a loss reads go through the network
   4. backward, SGD update of model and relation matrix
-  5. momentum update of the per-class geometry blocks from reliable points
+  5. momentum update of the per-class geometry blocks from reliable
+     points: each class's plan is solved on the geometry of its reliable
+     rows alone, computed from the step's pre-update features
 
 Scenes of a batch are concatenated, so every loss is a mean over all
 points of the batch jointly. The embedding blocks are built from
@@ -36,7 +38,7 @@ from geoseg.geometry_embedding import (
     RelationMatrix,
     class_plan,
     class_update,
-    embed,
+    embed,  # noqa: F401  (unused here; bench/tracing.py patches training.embed)
     embed_var,
     geometry_consistency_loss,
     geometry_property_loss,
@@ -192,7 +194,6 @@ class CompositeLoss:
     gcl: Var | None
     features: Var
     logits: Var
-    geometry: np.ndarray | None
     bound: BoundModel
     relation: Var
 
@@ -231,10 +232,9 @@ def composite_loss(
     points, labels = batch
     features, logits = bound.forward(points)
     seg = seg_loss(logits, labels)
-    geometry = gpl = gcl = seg_aug = None
+    gpl = gcl = seg_aug = None
     if cfg.lambda1 > 0:
-        geometry, relation_logits = embed_var(features, embedding, relation_var)
-        gpl = geometry_property_loss(relation_logits, labels)
+        gpl = geometry_property_loss(embed_var(features, embedding, relation_var), labels)
     if cfg.uses_adverse:
         points_aug, labels_aug = adverse
         if points_aug.shape != points.shape:
@@ -258,7 +258,7 @@ def composite_loss(
     terms = [(seg, 1.0), (seg_aug, 1.0), (gpl, cfg.lambda1), (gcl, cfg.lambda2)]
     terms = [(p, w) for p, w in terms if p is not None]
     total = weighted_sum(terms) if terms else None
-    return CompositeLoss(total, seg, gpl, gcl, features, logits, geometry, bound, relation_var)
+    return CompositeLoss(total, seg, gpl, gcl, features, logits, bound, relation_var)
 
 
 def train_step(
@@ -291,11 +291,7 @@ def train_step(
     sgd_step(params, loss.backward(), state.velocities, cfg)
 
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-        emb = state.embedding
-        geometry = (
-            embed(loss.features.value, emb) if loss.geometry is None
-            else loss.geometry.reshape(-1, emb.num_classes, emb.num_properties)
-        )
+        features = loss.features.value
         predictions = np.argmax(loss.logits.value, axis=1)
         raw = labels.labels
         updates = {}
@@ -308,10 +304,10 @@ def train_step(
             else:
                 rel = reliable_points(labels, predictions, class_id)
             if rel.size:
-                plan = class_plan(geometry, class_id, rel, sink_cfg)
-                updates[class_id] = class_update(loss.features.value, plan, rel)
+                plan = class_plan(features, state.embedding, class_id, rel, sink_cfg)
+                updates[class_id] = class_update(features, plan, rel)
         if updates:
-            momentum_update(emb, updates, cfg.epsilon)
+            momentum_update(state.embedding, updates, cfg.epsilon)
 
     def val(v: Var | None) -> float:
         return float(v.value) if v is not None else math.nan

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoseg.autodiff import GradientTape, Var, masked_cross_entropy, weighted_sum
+from geoseg.autodiff import GradientTape, Var, _row_reduce, masked_cross_entropy, weighted_sum
 
 IGNORE = 0xFFFF
 
@@ -167,6 +167,50 @@ def test_matches_scalar_oracle_and_ignores_masked(rng):
     # Ignored rows receive exactly zero gradient.
     assert np.array_equal(logits.grad[2], np.zeros(3))
     assert np.array_equal(logits.grad[4], np.zeros(3))
+
+
+def ce_value_and_grad(logits0: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    tape = GradientTape()
+    logits = tape.leaf(logits0)
+    out = masked_cross_entropy(logits, labels)
+    tape.backward(out)
+    return float(out.value), logits.grad
+
+
+@pytest.mark.parametrize("classes", [2, 6, 19])
+def test_appended_ignored_rows_change_no_bit(classes, rng):
+    # Without an ignored label the rows are read in place; with one they
+    # are gathered. Both give the same loss and the same valid gradients.
+    logits0 = rng.normal(size=(500, classes))
+    labels = rng.integers(0, classes, size=500).astype(np.uint16)
+    loss, grad = ce_value_and_grad(logits0, labels)
+    padded = np.vstack([logits0, rng.normal(size=(37, classes))])
+    padded_labels = np.concatenate([labels, np.full(37, IGNORE, dtype=np.uint16)])
+    padded_loss, padded_grad = ce_value_and_grad(padded, padded_labels)
+    assert padded_loss.hex() == loss.hex()
+    assert padded_grad[:500].tobytes() == grad.tobytes()
+
+
+def test_ignored_rows_get_exactly_zero_gradient(rng):
+    logits0 = rng.normal(size=(300, 6)) * 10.0
+    labels = rng.integers(0, 6, size=300).astype(np.uint16)
+    ignored = rng.random(300) < 0.3
+    labels[ignored] = IGNORE
+    _, grad = ce_value_and_grad(logits0, labels)
+    assert np.all(grad[ignored] == 0.0)
+    assert np.all(np.any(grad[~ignored] != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (2400, 6), (50, 19)])
+def test_row_reduce_equals_the_axis_reduction(shape, rng):
+    z = rng.normal(size=shape)
+    z[::3, -1] = z[::3, 0]  # ties
+    z[1::5] = -np.inf
+    assert _row_reduce(np.maximum, z).tobytes() == np.max(z, axis=1).tobytes()
+    strided = rng.normal(size=(shape[0], 2 * shape[1]))[:, ::2]
+    assert _row_reduce(np.maximum, strided).tobytes() == np.max(strided, axis=1).tobytes()
+    if shape[1] < 8:  # numpy adds a row this short in order, too
+        assert _row_reduce(np.add, z).tobytes() == np.sum(z, axis=1).tobytes()
 
 
 def test_gradient_scales_with_upstream_factor(rng):

@@ -86,14 +86,14 @@ def test_embed_var_matches_embed_and_routes_gradient(rng):
     checksum = hashlib.sha256(emb.blocks.tobytes()).hexdigest()
     tape = GradientTape()
     features, relation = tape.leaf(features0), tape.leaf(relation0)
-    geometry, logits = embed_var(features, emb, relation)
+    logits = embed_var(features, emb, relation)
     flat = embed(features0, emb).reshape(4, 4)
-    assert_array_equal(geometry, flat)
-    assert_array_equal(logits.value, flat @ relation0)
+    assert_allclose(logits.value, flat @ relation0, atol=1e-12)
     labels = np.array([0, 1, 1, 0], dtype=np.uint16)
     tape.backward(geometry_property_loss(logits, LabelSet(labels)))
     assert hashlib.sha256(emb.blocks.tobytes()).hexdigest() == checksum
-    # Chain rule by hand: d loss / d logits = (softmax - onehot) / N.
+    # Chain rule by hand on the (N, C*M) geometry: d loss / d logits =
+    # (softmax - onehot) / N.
     dlogits = softmax(flat @ relation0)
     dlogits[np.arange(4), labels] -= 1.0
     dlogits /= 4
@@ -105,32 +105,56 @@ def test_embed_var_matches_embed_and_routes_gradient(rng):
 
 
 def test_class_plan_single_point_uniform_row():
-    geometry = np.zeros((1, 2, 3))
-    geometry[0, 1] = [0.4, 0.4, 0.4]
-    plan = class_plan(geometry, 1, np.array([0]), SinkhornConfig())
+    # One point whose geometry under class 1's block is [0.4, 0.4, 0.4].
+    blocks = np.zeros((2, 1, 3))
+    blocks[1, 0] = [0.4, 0.4, 0.4]
+    plan = class_plan(np.ones((1, 1)), EmbeddingMatrix(blocks), 1, np.array([0]),
+                      SinkhornConfig())
     assert_allclose(plan.plan, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_class_plan_equals_solve_on_extracted_slice(rng):
-    geometry = rng.normal(size=(8, 3, 4))
+    features = rng.normal(size=(8, 5))
+    emb = unit_blocks(rng, 3, 5, 4)
     labels = LabelSet(rng.integers(0, 3, size=8).astype(np.uint16))
     cfg = SinkhornConfig(sigma=0.5)
     for class_id in range(3):
         idx = np.nonzero(labels.labels == class_id)[0]
         if idx.size == 0:
             continue
-        got = class_plan(geometry, class_id, idx, cfg)
-        expected = solve(geometry[idx, class_id, :], cfg)
+        got = class_plan(features, emb, class_id, idx, cfg)
+        expected = solve(features[idx] @ emb.blocks[class_id], cfg)
         assert_array_equal(got.plan, expected.plan)
 
 
 def test_class_plan_respects_explicit_indices(rng):
-    geometry = rng.normal(size=(6, 2, 3))
+    features = rng.normal(size=(6, 4))
+    emb = unit_blocks(rng, 2, 4, 3)
     idx = np.array([1, 4])
     cfg = SinkhornConfig(sigma=0.5)
-    got = class_plan(geometry, 0, idx, cfg)
-    expected = solve(geometry[idx, 0, :], cfg)
+    got = class_plan(features, emb, 0, idx, cfg)
+    expected = solve(features[idx] @ emb.blocks[0], cfg)
     assert_array_equal(got.plan, expected.plan)
+
+
+def test_class_plan_cost_is_the_slice_of_the_full_geometry(rng, monkeypatch):
+    # The reliable rows under one block give the slice [rel, c, :] of the
+    # (N, C, M) geometry, and the solver takes as many iterations on both.
+    import geoseg.geometry_embedding as ge
+
+    features = rng.normal(size=(300, 32))
+    emb = unit_blocks(rng, 6, 32, 8)
+    cfg = SinkhornConfig(max_iters=50)
+    costs = []
+    monkeypatch.setattr(ge, "solve", lambda cost, cfg: costs.append(cost) or solve(cost, cfg))
+    geometry = embed(features, emb)
+    for class_id in range(6):
+        rel = np.sort(rng.choice(300, size=40, replace=False))
+        got = class_plan(features, emb, class_id, rel, cfg)
+        want = solve(geometry[rel, class_id, :], cfg)
+        assert_allclose(costs[-1], geometry[rel, class_id, :], atol=1e-12, rtol=0)
+        assert got.iters_used == want.iters_used
+        assert_allclose(got.plan, want.plan, atol=1e-12, rtol=0)
 
 
 # -------------------------------------------------------------- class_update
@@ -284,7 +308,7 @@ def test_property_loss_matches_scalar_oracle(rng):
     relation = RelationMatrix.initial(c, m, rng=rng)
     labels = LabelSet(np.array([0, 2, IGNORE_ID, 1, 2], dtype=np.uint16))
     tape = GradientTape()
-    _, logits = embed_var(tape.leaf(features0), emb, tape.leaf(relation.values))
+    logits = embed_var(tape.leaf(features0), emb, tape.leaf(relation.values))
     loss = geometry_property_loss(logits, labels)
     assert_allclose(
         float(loss.value),
@@ -307,7 +331,7 @@ def test_property_loss_gradients_match_finite_differences(rng):
     tape = GradientTape()
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation0)
-    _, logits = embed_var(features, emb, relation_var)
+    logits = embed_var(features, emb, relation_var)
     tape.backward(geometry_property_loss(logits, labels))
 
     step = 1e-5
@@ -341,7 +365,7 @@ def test_consistency_loss_identity_augmentation_equals_property_loss(rng):
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation.values)
     via_consistency = geometry_consistency_loss(features, emb, relation_var, labels)
-    via_property = geometry_property_loss(embed_var(features, emb, relation_var)[1], labels)
+    via_property = geometry_property_loss(embed_var(features, emb, relation_var), labels)
     assert float(via_consistency.value) == float(via_property.value)
 
 

@@ -169,3 +169,69 @@ def test_plan_is_a_nonnegative_unit_mass_coupling(n, m, sigma, seed):
     # convergence, so total mass is always 1 up to float error.
     assert_allclose(result.plan.sum(), 1.0, atol=1e-9)
     assert_allclose(result.plan.sum(axis=0), np.full(m, 1.0 / m), atol=1e-9)
+
+
+# ------------------------------------------------------------ stopping rule
+
+
+def iterations_checking_both_marginals(cost: np.ndarray, cfg: SinkhornConfig) -> int:
+    """Iterations the scaling loop takes when it stops on the L1 residual of
+    the row and the column marginal, each read from the products of the
+    half-steps (the solver reads the row marginal alone)."""
+    n, m = cost.shape
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    shifted = shifted_cost(cost, cfg.sigma)
+    if _exp_domain_safe(shifted):
+        kernel = np.exp(-shifted)
+        kv = kernel.sum(axis=1)
+        for it in range(1, cfg.max_iters + 1):
+            u = a / kv
+            ktu = kernel.T @ u
+            v = b / ktu
+            kv = kernel @ v
+            if np.abs(u * kv - a).sum() + np.abs(v * ktu - b).sum() < cfg.tol:
+                break
+        return it
+
+    def lse(x, axis):
+        hi = x.max(axis=axis, keepdims=True)
+        return np.squeeze(hi + np.log(np.exp(x - hi).sum(axis=axis, keepdims=True)), axis)
+
+    row_lse = lse(-shifted, 1)
+    for it in range(1, cfg.max_iters + 1):
+        f = np.log(a) - row_lse
+        col_lse = lse(-shifted + f[:, None], 0)
+        g = np.log(b) - col_lse
+        row_lse = lse(-shifted + g[None, :], 1)
+        residual = np.abs(np.exp(f + row_lse) - a).sum() + np.abs(np.exp(g + col_lse) - b).sum()
+        if residual < cfg.tol:
+            break
+    return it
+
+
+@pytest.mark.parametrize("sigma, fast", [(0.5, True), (0.05, True), (0.01, False)])
+def test_row_residual_stops_where_both_marginals_would(sigma, fast, rng):
+    for shape in ((5, 3), (40, 8), (3, 7), (1, 4)):
+        cost = rng.uniform(0.0, 80.0 * sigma if fast else 80.0, size=shape)
+        assert _exp_domain_safe(shifted_cost(cost, sigma)) == fast
+        cfg = SinkhornConfig(sigma=sigma, max_iters=5000)
+        assert solve(cost, cfg).iters_used == iterations_checking_both_marginals(cost, cfg)
+
+
+def test_training_costs_stop_where_both_marginals_would(monkeypatch):
+    # Every plan of four ablation-scale steps, as training solves them.
+    from dataclasses import replace
+
+    import geoseg.geometry_embedding as ge
+    from geoseg.synthetic import SynthConfig, make_split
+    from geoseg.training import ablation_base_config, train
+
+    solved = []
+    monkeypatch.setattr(ge, "solve", lambda cost, cfg: solved.append(
+        (cost, cfg, solve(cost, cfg))) or solved[-1][2])
+    synth = SynthConfig()
+    scenes, _ = make_split(synth, 8, 0)
+    train(replace(ablation_base_config(), epochs=2), scenes, synth.classes)
+    assert len(solved) >= 20
+    for cost, cfg, plan in solved:
+        assert plan.iters_used == iterations_checking_both_marginals(cost, cfg)

@@ -218,7 +218,7 @@ def full_pass_terms(state, batch, adverse, cfg) -> dict[str, Var | None]:
     terms = {
         "seg": seg_loss(logits, labels),
         "gpl": geometry_property_loss(
-            embed_var(features, state.embedding, relation)[1], labels
+            embed_var(features, state.embedding, relation), labels
         ),
         "gcl": geometry_consistency_loss(features_aug, state.embedding, relation, labels_aug),
         "seg_aug": seg_loss(logits_aug, labels_aug),
