@@ -1,19 +1,20 @@
 """Command line interface.
 
 Subcommands: synth, train, eval, augment, gradcheck, ablate. Training
-options live in a flat `key = value` config file; every key is also a
-CLI flag of the same name, and flags win over the file. Exit codes:
-0 success, 1 usage or input error, 2 numeric failure.
+options live in a flat `key = value` config file; train, augment and
+ablate take the keys they read (COMMAND_KEYS), each also as a CLI flag
+of the same name, and flags win over the file. Exit codes: 0 success,
+1 usage or input error, 2 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from geoseg.augment import AugmentationConfig, compound_augment
@@ -29,13 +30,7 @@ from geoseg.scenes import (
 )
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, default_class_table, make_split
-from geoseg.training import (
-    TrainConfig,
-    ablation_base_config,
-    evaluate,
-    run_ablation,
-    train,
-)
+from geoseg.training import TrainConfig, evaluate, run_ablation, train
 
 
 class UsageError(Exception):
@@ -67,8 +62,16 @@ TRAIN_KEYS: dict[str, str] = {
     f.name: f.type for f in dataclasses.fields(TrainConfig)
 }
 
+# The training keys each subcommand reads. run_ablation sets every run's
+# seed from --seeds, so ablate takes no seed key.
+COMMAND_KEYS: dict[str, tuple[str, ...]] = {
+    "train": tuple(TRAIN_KEYS),
+    "augment": tuple(f.name for f in dataclasses.fields(AugmentationConfig)) + ("seed",),
+    "ablate": tuple(key for key in TRAIN_KEYS if key != "seed"),
+}
 
-def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
+
+def parse_config_text(text: str, source: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment, blanks are skipped."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -83,10 +86,10 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 
 
 def build_train_config(
-    config_path: str | None,
-    overrides: dict[str, str],
-    base: TrainConfig | None = None,
+    command: str, config_path: str | None, overrides: dict[str, str]
 ) -> TrainConfig:
+    """TrainConfig from the config file, then the flags; a key that the
+    command does not read is a UsageError."""
     raw: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
@@ -96,14 +99,14 @@ def build_train_config(
     raw.update(overrides)
     kwargs = {}
     for key, sval in raw.items():
-        if key not in TRAIN_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
+        if key not in COMMAND_KEYS[command]:
+            raise UsageError(f"unknown config key {key!r} for {command}")
         try:
             kwargs[key] = _PARSERS[TRAIN_KEYS[key]](sval)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
     try:
-        return replace(base, **kwargs) if base is not None else TrainConfig(**kwargs)
+        return TrainConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -122,8 +125,8 @@ def config_lines(cfg: TrainConfig) -> list[str]:
     return out
 
 
-def _add_train_key_flags(parser: argparse.ArgumentParser) -> None:
-    for key in TRAIN_KEYS:
+def _add_train_key_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for key in COMMAND_KEYS[command]:
         parser.add_argument(f"--{key}", dest=f"key_{key}", metavar="VALUE")
 
 
@@ -171,9 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = build_train_config(args.config, _collect_overrides(args))
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    cfg = build_train_config("train", args.config, _collect_overrides(args))
     table = default_class_table()
     scenes = _load_scenes(args.data, table)
     if cfg.epochs > 0 and not scenes:
@@ -184,7 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     result = train(cfg, scenes, table, progress=progress)
     state = result.state
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out)
     save_checkpoint(out_dir / "checkpoint.gseg", state.model, state.relation, state.embedding)
     _write_lines(out_dir / "config.txt", config_lines(cfg))
     loss_lines = []
@@ -223,12 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_augment(args: argparse.Namespace) -> int:
     table = default_class_table()
     scene = read_scene(Path(args.data), args.stem, table)
-    overrides = _collect_overrides(args)
-    accepted = {f.name for f in dataclasses.fields(AugmentationConfig)} | {"seed"}
-    bad = set(overrides) - accepted
-    if bad:
-        raise UsageError(f"not augmentation keys: {sorted(bad)}")
-    cfg = build_train_config(None, overrides)
+    cfg = build_train_config("augment", None, _collect_overrides(args))
     rng = substream(cfg.seed, "pags", scene.id)
     augmented, report = compound_augment(scene, table, cfg.augmentation(), rng)
     out = Path(args.out)
@@ -252,10 +248,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    # The ablation battery starts from its calibrated base, not the library defaults.
-    base_cfg = build_train_config(
-        args.config, _collect_overrides(args), base=ablation_base_config()
-    )
+    base_cfg = build_train_config("ablate", args.config, _collect_overrides(args))
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     synth_cfg = SynthConfig(points_per_scene=args.points, shift_severity=args.severity)
 
@@ -291,25 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Domain-generalized point cloud segmentation, desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One name per option: with abbreviations, ablate would read --seed as --seeds.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    p = add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=int, default=10)
     p.add_argument("--points", type=int, default=600)
     p.add_argument("--extent", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--severity", type=float, default=0.0,
-                   help="0 for clean scenes, >0 for shifted test scenes")
+                   help="0 for the clean training scenes, >0 for shifted test scenes")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
+    p = add_parser("train", help="train on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None, help="overrides out_dir")
-    _add_train_key_flags(p)
+    p.add_argument("--out", default="runs/default", help="artifact directory")
+    _add_train_key_flags(p, "train")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset directory")
+    p = add_parser("eval", help="evaluate a checkpoint on a dataset directory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--tta", action="store_true")
@@ -317,19 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("augment", help="adversely augment one scene")
+    p = add_parser("augment", help="adversely augment one scene")
     p.add_argument("--data", required=True)
     p.add_argument("--stem", required=True)
     p.add_argument("--out", required=True)
-    _add_train_key_flags(p)
+    _add_train_key_flags(p, "augment")
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train the component ladder and compare")
+    p = add_parser("ablate", help="train the component ladder and compare")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", default="0,1,2,3,4")
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test_scenes", type=int, default=50)
     p.add_argument("--severity", type=float, default=1.5)
     p.add_argument("--points", type=int, default=600)
-    _add_train_key_flags(p)
+    _add_train_key_flags(p, "ablate")
     p.set_defaults(func=cmd_ablate)
 
     return parser

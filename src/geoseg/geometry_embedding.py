@@ -181,7 +181,9 @@ def geometry_property_loss(logits: Var, labels: LabelSet) -> Var | None:
     """Cross-entropy of softmax(G @ Q) against labels, given the relation
     logits G @ Q of embed_var.
 
-    Mean over non-ignored points; None when every point is ignored.
+    Mean over non-ignored points; None when every point is ignored. It is
+    masked_cross_entropy under the loss's own name, kept because
+    bench/tracing.py patches training.geometry_property_loss to time it.
     """
     return masked_cross_entropy(logits, labels.labels)
 

@@ -23,7 +23,9 @@ from geoseg.network import PointNetLite
 from geoseg.scenes import IGNORE_ID, LabelSet
 from geoseg.streams import substream
 
-# Shape of each random case: model width, classes and geometry properties.
+# Shape of each random case: most points, model width, classes and
+# geometry properties.
+MAX_POINTS = 32
 FEATURE_DIM = 8
 NUM_CLASSES = 4
 NUM_PROPERTIES = 4
@@ -83,8 +85,8 @@ def adverse_rows(
     return points_aug, LabelSet(raw)
 
 
-def _random_case(rng: np.random.Generator, max_points: int) -> GradCheckCase:
-    n = int(rng.integers(4, max_points + 1))
+def _random_case(rng: np.random.Generator) -> GradCheckCase:
+    n = int(rng.integers(4, MAX_POINTS + 1))
     model = PointNetLite.create(NUM_CLASSES, widths=(FEATURE_DIM, FEATURE_DIM), rng=rng)
 
     def cloud(count: int) -> np.ndarray:
@@ -156,14 +158,14 @@ def check_case(case: GradCheckCase) -> tuple[int, float, list[str], bool]:
     return checked, max_diff, failures, untouched
 
 
-def run_gradient_check(seed: int = 0, cases: int = 20, max_points: int = 32) -> GradCheckReport:
+def run_gradient_check(seed: int = 0, cases: int = 20) -> GradCheckReport:
     """Run the FD battery over freshly drawn random configurations."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
     report = GradCheckReport()
     for case_idx in range(cases):
         rng = substream(seed, "gradcheck", case_idx)
-        case = _random_case(rng, max_points)
+        case = _random_case(rng)
         checked, max_diff, failures, untouched = check_case(case)
         report.cases += 1
         report.coords_checked += checked

@@ -17,9 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from geoseg.autodiff import GradientTape, Var, masked_cross_entropy
+from geoseg.autodiff import GradientTape, Var
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
-from geoseg.scenes import LabelSet
 
 if TYPE_CHECKING:
     from geoseg.training import TrainConfig
@@ -149,11 +148,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     hi = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - hi)
     return ez / ez.sum(axis=-1, keepdims=True)
-
-
-def seg_loss(logits: Var, labels: LabelSet) -> Var | None:
-    """Mean cross-entropy over non-ignored points; None if all are ignored."""
-    return masked_cross_entropy(logits, labels.labels)
 
 
 def sgd_step(

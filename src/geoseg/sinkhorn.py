@@ -46,7 +46,7 @@ EXP_RANGE_BOUND = 500.0
 @dataclass(frozen=True)
 class SinkhornConfig:
     sigma: float = 0.05
-    max_iters: int = 200
+    max_iters: int = 50
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ def _log_scaling(
     return np.exp(f[:, None] + log_k + g[None, :]), it
 
 
-def solve(cost: np.ndarray, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
+def solve(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     """Transport plan between uniform marginals for the given cost matrix.
 
     Args:

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from geoseg.cli import (
     TRAIN_KEYS,
     UsageError,
+    build_parser,
     build_train_config,
     config_lines,
     parse_config_text,
@@ -23,7 +25,7 @@ from geoseg.network import (
 from geoseg.scenes import SceneFormatError, read_scene
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, default_class_table, make_split
-from geoseg.training import TrainConfig, ablation_base_config, evaluate
+from geoseg.training import TrainConfig, evaluate
 
 FAST_TRAIN = [
     "--epochs", "1", "--widths", "6,4", "--geom_props", "2",
@@ -46,43 +48,35 @@ def make_dataset(tmp_path: Path, scenes: int = 2, points: int = 40) -> Path:
 
 def test_parse_config_text_skips_comments_and_blanks():
     text = "# header\n\nepochs = 5   # trailing\n  lr=0.1\n"
-    assert parse_config_text(text) == {"epochs": "5", "lr": "0.1"}
+    assert parse_config_text(text, "config") == {"epochs": "5", "lr": "0.1"}
 
 
 def test_parse_config_text_reports_the_offending_line():
     with pytest.raises(UsageError, match=r"config:3: expected 'key = value'"):
-        parse_config_text("a = 1\n\nnot a pair\n")
+        parse_config_text("a = 1\n\nnot a pair\n", "config")
 
 
 def test_build_train_config_flag_overrides_beat_the_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("lr = 0.1\nepochs = 7\n")
-    cfg = build_train_config(str(path), {"lr": "0.2"})
+    cfg = build_train_config("train", str(path), {"lr": "0.2"})
     assert cfg.lr == 0.2
     assert cfg.epochs == 7
 
 
-def test_build_train_config_starts_from_the_given_base():
-    base = ablation_base_config()
-    assert build_train_config(None, {}, base=base) == base
-    bumped = build_train_config(None, {"epochs": "3"}, base=base)
-    assert bumped.epochs == 3
-    assert bumped.lr == base.lr
-
-
 def test_build_train_config_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(UsageError, match="unknown config key 'learning_rate'"):
-        build_train_config(None, {"learning_rate": "0.1"})
+        build_train_config("train", None, {"learning_rate": "0.1"})
     with pytest.raises(UsageError, match="bad value for 'epochs'"):
-        build_train_config(None, {"epochs": "three"})
+        build_train_config("train", None, {"epochs": "three"})
     with pytest.raises(UsageError, match="config file not found"):
-        build_train_config(str(tmp_path / "missing.txt"), {})
+        build_train_config("train", str(tmp_path / "missing.txt"), {})
 
 
 def test_config_lines_round_trip_every_field_type():
     cfg = TrainConfig(widths=(8, 4), seg_on_augmented=True, lr=0.3, seed=9)
     text = "\n".join(config_lines(cfg))
-    rebuilt = build_train_config(None, parse_config_text(text))
+    rebuilt = build_train_config("train", None, parse_config_text(text, "config"))
     assert rebuilt == cfg
 
 
@@ -117,6 +111,61 @@ def test_every_train_key_has_a_parser():
     }
 
 
+# A valid value other than the default for every training key.
+NON_DEFAULT = {
+    "epochs": "2", "batch_size": "3", "lr": "0.07", "momentum": "0.8",
+    "weight_decay": "0.001", "widths": "5,3", "geom_props": "3", "epsilon": "0.5",
+    "sigma": "0.2", "sinkhorn_iters": "7", "sinkhorn_tol": "1e-6", "lambda1": "0.5",
+    "lambda2": "0.25", "seg_on_augmented": "true", "beta1": "0.4", "beta2": "0.6",
+    "rho": "0.2", "h1": "0.1", "h2": "0.4", "gamma1": "0.2", "gamma2": "0.9",
+    "fog_alpha_max": "0.05", "fog_threshold": "0.1", "accumulate_all": "true", "seed": "3",
+}
+
+SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+class Reached(Exception):
+    """Raised by a stub in place of the work a subcommand hands its config to."""
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_every_training_key_flag_reaches_the_config(command, tmp_path, monkeypatch):
+    registered = [a.dest[len("key_"):] for a in SUBCOMMANDS[command]._actions
+                  if a.dest.startswith("key_")]
+    assert registered == list(cli.COMMAND_KEYS.get(command, ()))
+    if not registered:
+        return
+    seen = {}
+
+    def reach(**values):
+        seen.update(values)
+        raise Reached
+
+    monkeypatch.setattr(cli, "train", lambda cfg, *a, **k: reach(cfg=cfg))
+    monkeypatch.setattr(cli, "run_ablation", lambda base_cfg, **k: reach(cfg=base_cfg))
+    monkeypatch.setattr(cli, "compound_augment", lambda scene, table, cfg, rng: reach(aug=cfg))
+    monkeypatch.setattr(cli, "substream",
+                        lambda seed, *names: seen.update(seed=seed) or substream(seed, *names))
+    data = str(make_dataset(tmp_path))
+    argv = {
+        "train": ["train", "--data", data, "--out", str(tmp_path / "run")],
+        "augment": ["augment", "--data", data, "--stem", "000000", "--out", str(tmp_path / "aug")],
+        "ablate": ["ablate", "--seeds", "0"],
+    }[command]
+    with pytest.raises(Reached):
+        run_cli(argv + [f"--{key}={NON_DEFAULT[key]}" for key in registered])
+    for key in registered:
+        want = cli._PARSERS[TRAIN_KEYS[key]](NON_DEFAULT[key])
+        assert want != getattr(TrainConfig(), key), key
+        if command != "augment":
+            got = getattr(seen["cfg"], key)
+        else:
+            got = seen["seed"] if key == "seed" else getattr(seen["aug"], key)
+        assert got == want, key
+
+
 # ----------------------------------------------------------------- subcommands
 
 
@@ -140,6 +189,16 @@ def test_synth_rejects_a_bad_setting_before_writing(flag, named, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_synth_at_severity_zero_writes_the_training_scenes(tmp_path):
+    """Not the unshifted test scenes that ablate --severity 0 scores."""
+    data = make_dataset(tmp_path, scenes=2)
+    train_scenes, test_scenes = make_split(SynthConfig(points_per_scene=40, shift_severity=0.0), 2, 2)
+    for i in range(2):
+        written = read_scene(data, f"{i:06d}", default_class_table()).cloud.points.tobytes()
+        assert written == train_scenes[i].cloud.points.tobytes()
+        assert written != test_scenes[i].cloud.points.tobytes()
 
 
 def test_train_zero_epochs_still_writes_artifacts(tmp_path):
@@ -169,6 +228,19 @@ def test_train_on_an_empty_data_directory_needs_zero_epochs(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"error: no scenes under {data}\n"
     assert not (tmp_path / "run1" / "checkpoint.gseg").exists()
+
+
+def test_train_out_is_the_only_name_of_its_directory(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    run = tmp_path / "run"
+    config = tmp_path / "train.txt"
+    config.write_text(f"out_dir = {run}\n")
+    capsys.readouterr()
+    assert run_cli(["train", "--data", str(data), "--out_dir", str(run)] + FAST_TRAIN) == 1
+    assert f"unrecognized arguments: --out_dir {run}" in capsys.readouterr().err
+    assert run_cli(["train", "--data", str(data), "--config", str(config)] + FAST_TRAIN) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'out_dir' for train\n"
+    assert not run.exists()
 
 
 def test_train_prints_and_records_per_epoch_totals(tmp_path, capsys):
@@ -255,7 +327,7 @@ def test_augment_rejects_training_only_keys(tmp_path, capsys):
         "--out", str(tmp_path / "aug"), "--lr", "0.5",
     ])
     assert code == 1
-    assert "not augmentation keys" in capsys.readouterr().err
+    assert "unrecognized arguments: --lr 0.5" in capsys.readouterr().err
     code = run_cli([
         "augment", "--data", str(data), "--stem", "000000",
         "--out", str(tmp_path / "aug"), "--beta1", "2",
@@ -350,6 +422,26 @@ def test_ablate_without_test_scenes_exits_one_before_writing(
     assert captured.err == f"error: {err}\n"
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_ablate_takes_no_seed_and_exits_one_before_writing(via, tmp_path, capsys):
+    """run_ablation sets every run's seed from --seeds."""
+    out = tmp_path / "ablation"
+    config = tmp_path / "ablate.txt"
+    config.write_text("seed = 3\n")
+    extra = ["--seed", "3"] if via == "flag" else ["--config", str(config)]
+    code = run_cli([
+        "ablate", "--out", str(out), "--seeds", "0", "--train_scenes", "2",
+        "--test_scenes", "1", "--points", "30",
+    ] + FAST_TRAIN + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    if via == "flag":
+        assert "unrecognized arguments: --seed 3" in err
+    else:
+        assert err == "error: unknown config key 'seed' for ablate\n"
+    assert not (out / "ablation.json").exists()
 
 
 # ------------------------------------------------------------------ exit codes

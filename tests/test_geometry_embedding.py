@@ -169,7 +169,7 @@ def test_class_update_zero_features(rng):
 def test_class_update_single_basis_point():
     features = np.zeros((3, 4))
     features[1, 0] = 1.0
-    plan = solve(np.zeros((1, 1)))
+    plan = solve(np.zeros((1, 1)), SinkhornConfig())
     update = class_update(features, plan, np.array([1]))
     assert_array_equal(update, np.array([[1.0], [0.0], [0.0], [0.0]]))
 

@@ -79,7 +79,7 @@ def test_blocks_bytes_stable_through_check(rng):
 
 
 def test_battery_reports_and_passes():
-    report = run_gradient_check(seed=0, cases=3, max_points=12)
+    report = run_gradient_check(seed=0, cases=3)
     assert report.passed
     assert report.cases == 3
     assert report.coords_checked > 0
@@ -95,7 +95,7 @@ def test_a_report_that_checked_nothing_does_not_pass():
 
 
 def test_battery_is_deterministic():
-    a = run_gradient_check(seed=1, cases=2, max_points=8)
-    b = run_gradient_check(seed=1, cases=2, max_points=8)
+    a = run_gradient_check(seed=1, cases=2)
+    b = run_gradient_check(seed=1, cases=2)
     assert a.max_abs_diff == b.max_abs_diff
     assert a.coords_checked == b.coords_checked

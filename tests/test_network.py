@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape, Var, weighted_sum
+from geoseg.autodiff import GradientTape, Var, masked_cross_entropy, weighted_sum
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg.network import (
     COORD_SCALE,
@@ -19,11 +19,10 @@ from geoseg.network import (
     load_checkpoint,
     predict_logits,
     save_checkpoint,
-    seg_loss,
     sgd_step,
     softmax,
 )
-from geoseg.scenes import IGNORE_ID, LabelSet
+from geoseg.scenes import IGNORE_ID
 from geoseg.streams import substream
 from geoseg.training import TrainConfig
 
@@ -139,7 +138,7 @@ def test_seg_loss_is_storage_order_invariant(rng):
     def loss(pts, raw):
         tape = GradientTape()
         _, logits = BoundModel(model, tape).forward(pts)
-        return float(seg_loss(logits, LabelSet(raw)).value)
+        return float(masked_cross_entropy(logits, raw).value)
 
     assert loss(points, labels) == pytest.approx(loss(points[perm], labels[perm]), abs=1e-12)
 
@@ -148,19 +147,19 @@ def test_seg_loss_all_ignored_is_none(rng):
     model = tiny_model()
     tape = GradientTape()
     _, logits = BoundModel(model, tape).forward(rng.uniform(-1, 1, size=(4, 4)))
-    assert seg_loss(logits, LabelSet(np.full(4, IGNORE_ID, dtype=np.uint16))) is None
+    assert masked_cross_entropy(logits, np.full(4, IGNORE_ID, dtype=np.uint16)) is None
 
 
 def test_two_forwards_accumulate_into_shared_parameters(rng):
     model = tiny_model()
     pts_a = rng.uniform(-40, 40, size=(6, 4))
     pts_b = rng.uniform(-40, 40, size=(6, 4))
-    labels = LabelSet(rng.integers(0, 3, size=6).astype(np.uint16))
+    labels = rng.integers(0, 3, size=6).astype(np.uint16)
 
     def grads_for(selection):
         tape = GradientTape()
         bound = BoundModel(model, tape)
-        parts = [seg_loss(bound.forward(pts)[1], labels) for pts in selection]
+        parts = [masked_cross_entropy(bound.forward(pts)[1], labels) for pts in selection]
         tape.backward(weighted_sum([(part, 1.0) for part in parts]))
         return [g.copy() for g in bound.gradients()]
 

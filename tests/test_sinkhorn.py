@@ -45,7 +45,7 @@ def test_one_by_one_is_the_unit_plan():
 
 
 def test_constant_cost_gives_product_measure():
-    result = solve(np.full((3, 4), 2.5))
+    result = solve(np.full((3, 4), 2.5), SinkhornConfig())
     assert_allclose(result.plan, np.full((3, 4), 1.0 / 12.0), atol=1e-12)
 
 
@@ -141,11 +141,11 @@ def test_single_entry_perturbation_doubles_in_residual():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        solve(np.zeros((0, 3)))
+        solve(np.zeros((0, 3)), SinkhornConfig())
     with pytest.raises(ValueError):
-        solve(np.zeros(4))
+        solve(np.zeros(4), SinkhornConfig())
     with pytest.raises(ValueError):
-        solve(np.array([[np.inf, 0.0]]))
+        solve(np.array([[np.inf, 0.0]]), SinkhornConfig())
     with pytest.raises(ValueError):
         SinkhornConfig(sigma=0.0)
     with pytest.raises(ValueError):
