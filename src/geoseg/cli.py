@@ -58,9 +58,22 @@ _PARSERS = {
     "tuple[int, ...]": _parse_widths,
 }
 
-TRAIN_KEYS: dict[str, str] = {
-    f.name: f.type for f in dataclasses.fields(TrainConfig)
-}
+
+def _train_keys() -> dict[str, tuple[str | None, str]]:
+    """Flat key -> (the TrainConfig field holding it, None for TrainConfig's
+    own fields; its type), in field order. A key names one field: of
+    TrainConfig, or of the sub-config that a TrainConfig field holds, so
+    the three configs' field names must be disjoint."""
+    keys = {}
+    for outer in dataclasses.fields(TrainConfig):
+        if dataclasses.is_dataclass(outer.default):
+            keys.update((f.name, (outer.name, f.type)) for f in dataclasses.fields(outer.default))
+        else:
+            keys[outer.name] = (None, outer.type)
+    return keys
+
+
+TRAIN_KEYS = _train_keys()
 
 # The training keys each subcommand reads. run_ablation sets every run's
 # seed from --seeds, so ablate takes no seed key.
@@ -98,14 +111,19 @@ def build_train_config(
         raw.update(parse_config_text(path.read_text(), source=str(path)))
     raw.update(overrides)
     kwargs = {}
+    nested: dict[str, dict] = {}
     for key, sval in raw.items():
         if key not in COMMAND_KEYS[command]:
             raise UsageError(f"unknown config key {key!r} for {command}")
+        holder, kind = TRAIN_KEYS[key]
         try:
-            kwargs[key] = _PARSERS[TRAIN_KEYS[key]](sval)
+            value = _PARSERS[kind](sval)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
+        (nested.setdefault(holder, {}) if holder else kwargs)[key] = value
     try:
+        for holder, values in nested.items():
+            kwargs[holder] = dataclasses.replace(getattr(TrainConfig, holder), **values)
         return TrainConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -113,15 +131,15 @@ def build_train_config(
 
 def config_lines(cfg: TrainConfig) -> list[str]:
     out = []
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(cfg, f.name)
+    for key, (holder, _) in TRAIN_KEYS.items():
+        value = getattr(getattr(cfg, holder) if holder else cfg, key)
         if isinstance(value, bool):
             text = str(value).lower()
         elif isinstance(value, tuple):
             text = ",".join(str(v) for v in value)
         else:
             text = str(value)
-        out.append(f"{f.name} = {text}")
+        out.append(f"{key} = {text}")
     return out
 
 
@@ -226,7 +244,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     scene = read_scene(Path(args.data), args.stem, table)
     cfg = build_train_config("augment", None, _collect_overrides(args))
     rng = substream(cfg.seed, "pags", scene.id)
-    augmented, report = compound_augment(scene, table, cfg.augmentation(), rng)
+    augmented, report = compound_augment(scene, table, cfg.augmentation, rng)
     out = Path(args.out)
     write_scene(out, augmented)
     lines = report.lines()
@@ -290,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=int, default=10)
-    p.add_argument("--points", type=int, default=600)
-    p.add_argument("--extent", type=float, default=50.0)
+    p.add_argument("--points", type=int, default=SynthConfig.points_per_scene)
+    p.add_argument("--extent", type=float, default=SynthConfig.scene_extent)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--severity", type=float, default=0.0,
                    help="0 for the clean training scenes, >0 for shifted test scenes")
@@ -331,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train_scenes", type=int, default=200)
     p.add_argument("--test_scenes", type=int, default=50)
     p.add_argument("--severity", type=float, default=1.5)
-    p.add_argument("--points", type=int, default=600)
+    p.add_argument("--points", type=int, default=SynthConfig.points_per_scene)
     _add_train_key_flags(p, "ablate")
     p.set_defaults(func=cmd_ablate)
 

@@ -158,7 +158,7 @@ def check_case(case: GradCheckCase) -> tuple[int, float, list[str], bool]:
     return checked, max_diff, failures, untouched
 
 
-def run_gradient_check(seed: int = 0, cases: int = 20) -> GradCheckReport:
+def run_gradient_check(seed: int, cases: int) -> GradCheckReport:
     """Run the FD battery over freshly drawn random configurations."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")

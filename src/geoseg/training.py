@@ -22,7 +22,7 @@ original (non-augmented) features and receive no gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,9 @@ TTA_SCALES = (0.95, 1.0, 1.05)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Flat training configuration; every field doubles as a config-file key."""
+    """Training configuration. The transport solver's and the adverse
+    augmentation's settings are held in their own configs, which validate
+    themselves."""
 
     epochs: int = 30
     batch_size: int = 4
@@ -81,24 +83,11 @@ class TrainConfig:
     widths: tuple[int, ...] = (64, 64, 32)
     geom_props: int = 8
     epsilon: float = 0.9999
-    # Solver and augmentation defaults are read from their own configs, so
-    # training and the shifted test split share one copy of each.
-    sigma: float = SinkhornConfig.sigma
-    sinkhorn_iters: int = SinkhornConfig.max_iters
-    sinkhorn_tol: float = SinkhornConfig.tol
+    sinkhorn: SinkhornConfig = SinkhornConfig()
     lambda1: float = 1.0
     lambda2: float = 1.0
     seg_on_augmented: bool = False
-    beta1: float = AugmentationConfig.beta1
-    beta2: float = AugmentationConfig.beta2
-    rho: float = AugmentationConfig.rho
-    h1: float = AugmentationConfig.h1
-    h2: float = AugmentationConfig.h2
-    gamma1: float = AugmentationConfig.gamma1
-    gamma2: float = AugmentationConfig.gamma2
-    fog_alpha_max: float = AugmentationConfig.fog_alpha_max
-    fog_threshold: float = AugmentationConfig.fog_threshold
-    accumulate_all: bool = AugmentationConfig.accumulate_all
+    augmentation: AugmentationConfig = AugmentationConfig()
     seed: int = 0
 
     def __post_init__(self):
@@ -118,19 +107,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        # The sub-configs validate their own fields.
-        self.augmentation()
-        self.sinkhorn()
-
-    def augmentation(self) -> AugmentationConfig:
-        return AugmentationConfig(
-            **{f.name: getattr(self, f.name) for f in fields(AugmentationConfig)}
-        )
-
-    def sinkhorn(self) -> SinkhornConfig:
-        return SinkhornConfig(
-            sigma=self.sigma, max_iters=self.sinkhorn_iters, tol=self.sinkhorn_tol
-        )
 
     @property
     def uses_adverse(self) -> bool:
@@ -277,9 +253,10 @@ def train_step(
     points, labels = _concat(originals)
     adverse = None
     if cfg.uses_adverse:
-        aug_cfg = cfg.augmentation()
         adverse = _concat([
-            compound_augment(s, state.table, aug_cfg, substream(cfg.seed, "pags", epoch, s.id))[0]
+            compound_augment(
+                s, state.table, cfg.augmentation, substream(cfg.seed, "pags", epoch, s.id)
+            )[0]
             for s in originals
         ])
 
@@ -300,7 +277,6 @@ def train_step(
         predictions = np.argmax(loss.logits.value, axis=1)
         raw = labels.labels
         updates = {}
-        sink_cfg = cfg.sinkhorn()
         for class_id in np.unique(raw[raw != IGNORE_ID]):
             class_id = int(class_id)
             if state.step_count == 0:
@@ -309,7 +285,7 @@ def train_step(
             else:
                 rel = reliable_points(labels, predictions, class_id)
             if rel.size:
-                plan = class_plan(features, state.embedding, class_id, rel, sink_cfg)
+                plan = class_plan(features, state.embedding, class_id, rel, cfg.sinkhorn)
                 updates[class_id] = class_update(features, plan, rel)
         if updates:
             momentum_update(state.embedding, updates, cfg.epsilon)
@@ -461,32 +437,31 @@ class AblationResult:
 
 
 def run_ablation(
-    base_cfg: TrainConfig = TrainConfig(),
-    synth_cfg: SynthConfig | None = None,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    n_train: int = 200,
-    n_test: int = 50,
+    base_cfg: TrainConfig,
+    synth_cfg: SynthConfig,
+    seeds: tuple[int, ...],
+    n_train: int,
+    n_test: int,
     progress=None,
 ) -> AblationResult:
     """Train the component ladder per seed on a shared shifted split.
 
-    The test split is shifted at synth_cfg.shift_severity (1.5 when
-    synth_cfg is None). Every variant of a seed sees identical data and
-    identical named RNG substreams; the variants differ only in which
-    losses are active. Each run takes base_cfg and synth_cfg with their
-    seed set from seeds; their own seed fields are not read. Empty or
-    repeated seeds, or fewer than one train or test scene, raise
-    ValueError before anything is trained.
+    The test split is shifted at synth_cfg.shift_severity. Every variant
+    of a seed sees identical data and identical named RNG substreams; the
+    variants differ only in which losses are active. Each run takes
+    base_cfg and synth_cfg with their seed set from seeds; their own seed
+    fields are not read. Empty, repeated or negative seeds, or fewer than
+    one train or test scene, raise ValueError before anything is trained.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {seeds}")
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    if synth_cfg is None:
-        synth_cfg = SynthConfig(shift_severity=1.5)
     runs: list[AblationRun] = []
     for seed in seeds:
         scfg = replace(synth_cfg, seed=seed)

@@ -25,16 +25,17 @@ from geoseg.scenes import IGNORE_ID, SceneFormatError, read_scene, write_scene
 from geoseg.sinkhorn import SinkhornConfig, plan_marginal_residual, solve
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, generate_scene, make_split
-from geoseg.training import ablation_base_config, run_ablation, train, variant_config
+from geoseg.training import TrainConfig, ablation_base_config, run_ablation, train, variant_config
 
 EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")
 def experiment():
-    """The full domain-shift battery at its default scale, with wall time."""
+    """The full domain-shift battery at `geoseg ablate`'s default scale, with wall time."""
     start = time.perf_counter()
-    result = run_ablation(seeds=EXPERIMENT_SEEDS)
+    result = run_ablation(TrainConfig(), SynthConfig(shift_severity=1.5), EXPERIMENT_SEEDS,
+                          n_train=200, n_test=50)
     elapsed = time.perf_counter() - start
     return result, elapsed
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from geoseg.cli import (
     parse_config_text,
     run_cli,
 )
+from geoseg.augment import AugmentationConfig
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 from geoseg import cli
 from geoseg.network import (
@@ -23,13 +25,14 @@ from geoseg.network import (
     save_checkpoint,
 )
 from geoseg.scenes import SceneFormatError, read_scene
+from geoseg.sinkhorn import SinkhornConfig
 from geoseg.streams import substream
 from geoseg.synthetic import SynthConfig, default_class_table, make_split
 from geoseg.training import TrainConfig, evaluate
 
 FAST_TRAIN = [
     "--epochs", "1", "--widths", "6,4", "--geom_props", "2",
-    "--sinkhorn_iters", "10", "--lr", "0.05", "--batch_size", "2",
+    "--max_iters", "10", "--lr", "0.05", "--batch_size", "2",
 ]
 
 
@@ -74,7 +77,9 @@ def test_build_train_config_rejects_unknown_keys_and_bad_values(tmp_path):
 
 
 def test_config_lines_round_trip_every_field_type():
-    cfg = TrainConfig(widths=(8, 4), seg_on_augmented=True, lr=0.3, seed=9)
+    cfg = TrainConfig(widths=(8, 4), seg_on_augmented=True, lr=0.3, seed=9,
+                      sinkhorn=SinkhornConfig(max_iters=7),
+                      augmentation=AugmentationConfig(rho=0.6))
     text = "\n".join(config_lines(cfg))
     rebuilt = build_train_config("train", None, parse_config_text(text, "config"))
     assert rebuilt == cfg
@@ -101,21 +106,32 @@ def test_readme_config_table_matches_the_defaults():
     actual = dict(line.split(" = ", 1) for line in config_lines(TrainConfig()))
     assert list(documented) == list(actual)
     for key, text in documented.items():
-        parse = cli._PARSERS[TRAIN_KEYS[key]]
+        parse = cli._PARSERS[TRAIN_KEYS[key][1]]
         assert parse(text) == parse(actual[key]), key
 
 
-def test_every_train_key_has_a_parser():
-    assert set(TRAIN_KEYS) == {
-        f.name for f in __import__("dataclasses").fields(TrainConfig)
-    }
+def test_each_leaf_field_has_one_flat_key_with_a_parser():
+    subs = {"sinkhorn": SinkhornConfig, "augmentation": AugmentationConfig}
+    assert {f.name for f in fields(TrainConfig) if is_dataclass(f.default)} == set(subs)
+    leaves = [(f.name, None) for f in fields(TrainConfig) if f.name not in subs]
+    leaves += [(f.name, holder) for holder, sub in subs.items() for f in fields(sub)]
+    # Disjoint names, so a flat key names one field and no field copies another.
+    assert len({name for name, _ in leaves}) == len(leaves)
+    assert {key: holder for key, (holder, _) in TRAIN_KEYS.items()} == dict(leaves)
+    assert all(kind in cli._PARSERS for _, kind in TRAIN_KEYS.values())
+
+
+def key_value(cfg: TrainConfig, key: str):
+    """The value that cfg holds under a flat key, read through TRAIN_KEYS."""
+    holder = TRAIN_KEYS[key][0]
+    return getattr(getattr(cfg, holder) if holder else cfg, key)
 
 
 # A valid value other than the default for every training key.
 NON_DEFAULT = {
     "epochs": "2", "batch_size": "3", "lr": "0.07", "momentum": "0.8",
     "weight_decay": "0.001", "widths": "5,3", "geom_props": "3", "epsilon": "0.5",
-    "sigma": "0.2", "sinkhorn_iters": "7", "sinkhorn_tol": "1e-6", "lambda1": "0.5",
+    "sigma": "0.2", "max_iters": "7", "tol": "1e-6", "lambda1": "0.5",
     "lambda2": "0.25", "seg_on_augmented": "true", "beta1": "0.4", "beta2": "0.6",
     "rho": "0.2", "h1": "0.1", "h2": "0.4", "gamma1": "0.2", "gamma2": "0.9",
     "fog_alpha_max": "0.05", "fog_threshold": "0.1", "accumulate_all": "true", "seed": "3",
@@ -157,10 +173,10 @@ def test_every_training_key_flag_reaches_the_config(command, tmp_path, monkeypat
     with pytest.raises(Reached):
         run_cli(argv + [f"--{key}={NON_DEFAULT[key]}" for key in registered])
     for key in registered:
-        want = cli._PARSERS[TRAIN_KEYS[key]](NON_DEFAULT[key])
-        assert want != getattr(TrainConfig(), key), key
+        want = cli._PARSERS[TRAIN_KEYS[key][1]](NON_DEFAULT[key])
+        assert want != key_value(TrainConfig(), key), key
         if command != "augment":
-            got = getattr(seen["cfg"], key)
+            got = key_value(seen["cfg"], key)
         else:
             got = seen["seed"] if key == "seed" else getattr(seen["aug"], key)
         assert got == want, key
@@ -240,6 +256,21 @@ def test_train_out_is_the_only_name_of_its_directory(tmp_path, capsys):
     assert f"unrecognized arguments: --out_dir {run}" in capsys.readouterr().err
     assert run_cli(["train", "--data", str(data), "--config", str(config)] + FAST_TRAIN) == 1
     assert capsys.readouterr().err == "error: unknown config key 'out_dir' for train\n"
+    assert not run.exists()
+
+
+def test_the_old_solver_key_names_exit_one(tmp_path, capsys):
+    """The solver keys are max_iters and tol, the names SinkhornConfig uses."""
+    data = make_dataset(tmp_path)
+    run = tmp_path / "run"
+    config = tmp_path / "train.txt"
+    config.write_text("sinkhorn_tol = 1e-6\n")
+    capsys.readouterr()
+    argv = ["train", "--data", str(data), "--out", str(run)] + FAST_TRAIN
+    assert run_cli(argv + ["--sinkhorn_iters", "10"]) == 1
+    assert "unrecognized arguments: --sinkhorn_iters 10" in capsys.readouterr().err
+    assert run_cli(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'sinkhorn_tol' for train\n"
     assert not run.exists()
 
 
@@ -407,11 +438,13 @@ def test_ablate_tiny_battery_writes_table_and_json(tmp_path, capsys):
     ("0", "0", "n_test must be >= 1, got 0"),
     ("0", "-1", "n_test must be >= 1, got -1"),
     ("0,0,1", "1", "seeds must be distinct, got (0, 0, 1)"),
-], ids=["0", "-1", "repeated-seeds"])
+    ("0,-1", "1", "seeds must be >= 0, got (0, -1)"),
+], ids=["0", "-1", "repeated-seeds", "negative-seed"])
 def test_ablate_without_test_scenes_exits_one_before_writing(
     seeds, count, err, tmp_path, capsys
 ):
-    """No test scene, or a seed given twice, exits 1 before anything trains."""
+    """No test scene, or a seed given twice or negative, exits 1 before
+    anything trains."""
     out = tmp_path / "ablation"
     code = run_cli([
         "ablate", "--out", str(out), "--seeds", seeds, "--train_scenes", "2",
@@ -422,6 +455,22 @@ def test_ablate_without_test_scenes_exits_one_before_writing(
     assert captured.err == f"error: {err}\n"
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+def test_ablate_flags_hold_the_battery_defaults(monkeypatch):
+    """The flags are the only home of the battery's scale and shift severity."""
+    seen = {}
+
+    def reach(**kwargs):
+        seen.update(kwargs)
+        raise Reached
+
+    monkeypatch.setattr(cli, "run_ablation", reach)
+    with pytest.raises(Reached):
+        run_cli(["ablate"])
+    del seen["progress"]
+    assert seen == dict(base_cfg=TrainConfig(), synth_cfg=SynthConfig(shift_severity=1.5),
+                        seeds=(0, 1, 2, 3, 4), n_train=200, n_test=50)
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

@@ -44,7 +44,7 @@ TABLE = default_class_table()
 
 def tiny_cfg(**kwargs) -> TrainConfig:
     base = dict(epochs=2, batch_size=2, lr=0.05, widths=(8, 6), geom_props=3,
-                sinkhorn_iters=30, seed=0)
+                sinkhorn=SinkhornConfig(max_iters=30), seed=0)
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -55,14 +55,9 @@ def tiny_scenes(n_scenes=4, points=60, seed=0):
     return train_scenes
 
 
-def test_config_builders_map_fields():
-    cfg = tiny_cfg(beta1=0.7, sigma=0.3, sinkhorn_iters=11, sinkhorn_tol=1e-6)
-    aug = cfg.augmentation()
-    assert aug.beta1 == 0.7
-    sink = cfg.sinkhorn()
-    assert (sink.sigma, sink.max_iters, sink.tol) == (0.3, 11, 1e-6)
-    assert TrainConfig().augmentation() == AugmentationConfig()
-    assert TrainConfig().sinkhorn() == SinkhornConfig()
+def test_train_config_holds_the_default_sub_configs():
+    assert TrainConfig().augmentation == AugmentationConfig()
+    assert TrainConfig().sinkhorn == SinkhornConfig()
 
 
 def test_init_state_is_deterministic_per_seed():
@@ -79,7 +74,9 @@ def test_init_state_is_deterministic_per_seed():
 def test_degenerate_step_equals_plain_cross_entropy_training():
     """lambda1 = lambda2 = 0 with the adverse gates closed must reproduce a
     hand-written augment/forward/backward/update loop bit for bit."""
-    cfg = tiny_cfg(lambda1=0.0, lambda2=0.0, beta1=0.0, beta2=0.0)
+    cfg = tiny_cfg(
+        lambda1=0.0, lambda2=0.0, augmentation=AugmentationConfig(beta1=0.0, beta2=0.0)
+    )
     scenes = tiny_scenes(2)
 
     state = init_state(cfg, TABLE)
@@ -136,7 +133,9 @@ def test_epsilon_one_freezes_blocks_through_training():
 
 
 def test_all_ignored_batch_is_skipped_and_counted():
-    cfg = tiny_cfg(lambda1=0.0, lambda2=0.0, beta1=0.0, beta2=0.0)
+    cfg = tiny_cfg(
+        lambda1=0.0, lambda2=0.0, augmentation=AugmentationConfig(beta1=0.0, beta2=0.0)
+    )
     pts = np.column_stack([np.eye(3), np.full(3, 0.5)])
     scene = Scene(
         PointCloud(pts), LabelSet(np.full(3, IGNORE_ID, dtype=np.uint16)), "ignored"
@@ -392,7 +391,8 @@ def test_run_ablation_structure_and_means():
     (dict(n_train=0), "n_train must be >= 1"),
     (dict(seeds=()), "at least one seed"),
     (dict(seeds=(0, 0, 1)), "seeds must be distinct"),
-], ids=["n_test=0", "n_test=-1", "n_train=0", "no-seeds", "repeated-seeds"])
+    (dict(seeds=(0, -1)), r"seeds must be >= 0, got \(0, -1\)"),
+], ids=["n_test=0", "n_test=-1", "n_train=0", "no-seeds", "repeated-seeds", "negative-seed"])
 def test_run_ablation_rejects_an_empty_battery_before_training(kwargs, match, monkeypatch):
     def no_training(*args, **kw):
         raise AssertionError("trained before the arguments were checked")
@@ -411,8 +411,7 @@ class _SplitMade(Exception):
 
 @pytest.mark.parametrize("synth_cfg, severity", [
     (SynthConfig(points_per_scene=60, shift_severity=0.7), 0.7),
-    (None, 1.5),
-], ids=["given", "default"])
+], ids=["given"])
 def test_run_ablation_shifts_the_test_split_at_the_synth_config_severity(
     synth_cfg, severity, monkeypatch
 ):
@@ -424,7 +423,7 @@ def test_run_ablation_shifts_the_test_split_at_the_synth_config_severity(
 
     monkeypatch.setattr(training, "make_split", record_split)
     with pytest.raises(_SplitMade):
-        run_ablation(base_cfg=tiny_cfg(epochs=1), synth_cfg=synth_cfg, seeds=(3,))
+        run_ablation(tiny_cfg(epochs=1), synth_cfg, seeds=(3,), n_train=2, n_test=1)
     assert [(cfg.shift_severity, cfg.seed) for cfg in seen] == [(severity, 3)]
 
 
