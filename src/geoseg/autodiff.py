@@ -15,7 +15,8 @@ arrays (anything passed as a plain ndarray) never receive gradients.
 Logits have few columns (one per class) and thousands of rows, so the
 cross-entropy takes its row max and row sum one column at a time
 (_row_reduce), at a quarter to a tenth of the cost of the axis-1
-reductions.
+reductions. network.softmax and sinkhorn.solve (its row min) use the
+same helper.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ def weighted_sum(terms: list[tuple[Var, float]]) -> Var:
 def _row_reduce(ufunc: np.ufunc, z: np.ndarray) -> np.ndarray:
     """ufunc.reduce(z, axis=1) of a 2-D array, one ufunc call per column.
 
-    Over the few columns of a logits or point array this is 4-10 times
-    faster than the reduction, which walks each short row on its own.
-    np.maximum and np.logical_and give the same bits at any width; np.add
-    does below eight columns, where numpy too adds a row in order.
+    Over the few columns of a logits, point or cost array this is 4-10
+    times faster than the reduction, which walks each short row on its own.
+    np.maximum, np.minimum and np.logical_and give the same bits at any
+    width; np.add does below eight columns, where numpy too adds a row in
+    order.
     """
     out = z[:, 0].copy()
     for j in range(1, z.shape[1]):
@@ -118,7 +120,8 @@ def masked_cross_entropy(logits: Var, labels: np.ndarray) -> Var | None:
     out = Var(-(picked_z - np.log(sez)).mean(), logits.tape)
 
     def backward():
-        p = ez / sez[:, None]
+        p = ez  # ez is this closure's own, and the tape runs it once
+        p /= sez[:, None]
         p[np.arange(k), picked] -= 1.0
         p *= float(out.grad) / k
         logits.grad[rows] += p

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from geoseg.autodiff import GradientTape, Var
+from geoseg.autodiff import GradientTape, Var, _row_reduce
 from geoseg.geometry_embedding import EmbeddingMatrix, RelationMatrix
 
 if TYPE_CHECKING:
@@ -94,8 +94,12 @@ def forward_arrays(model: PointNetLite, points: np.ndarray) -> list[np.ndarray]:
     x[:, :3] /= COORD_SCALE
     acts = [x]
     for w, b in zip(model.weights, model.biases):
-        acts.append(np.tanh(acts[-1] @ w + b))
-    acts.append(acts[-1] @ model.head_weight + model.head_bias)
+        h = acts[-1] @ w
+        h += b
+        acts.append(np.tanh(h, out=h))
+    logits = acts[-1] @ model.head_weight
+    logits += model.head_bias
+    acts.append(logits)
     return acts
 
 
@@ -126,7 +130,8 @@ class BoundModel:
             g = features.grad + g @ head_w.value.T
             for i in reversed(range(len(params) // 2 - 1)):
                 w, b = params[2 * i], params[2 * i + 1]
-                g = (1.0 - acts[i + 1] * acts[i + 1]) * g
+                d = acts[i + 1] * acts[i + 1]
+                g *= np.subtract(1.0, d, out=d)  # tanh' = 1 - a^2; g is this closure's own
                 b.grad += g.sum(axis=0)
                 w.grad += acts[i].T @ g
                 if i:
@@ -145,9 +150,11 @@ def predict_logits(model: PointNetLite, points: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    hi = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - hi)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of (N, C) logits, reduced one column at a time."""
+    ez = z - _row_reduce(np.maximum, z)[:, None]
+    np.exp(ez, out=ez)
+    ez /= _row_reduce(np.add, ez)[:, None]
+    return ez
 
 
 def sgd_step(

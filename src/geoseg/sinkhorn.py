@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from geoseg.autodiff import _row_reduce
+
 # Largest row range of (C - rowmin C) / sigma that the exp domain takes:
 # every kernel entry is then at least e^-500 ~ 7e-218, a normal float64.
 EXP_RANGE_BOUND = 500.0
@@ -149,7 +151,7 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     n, m = cost.shape
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
-    shifted = (cost - cost.min(axis=1, keepdims=True)) / cfg.sigma
+    shifted = (cost - _row_reduce(np.minimum, cost)[:, None]) / cfg.sigma
     iterate = _scaling if _exp_domain_safe(shifted) else _log_scaling
     plan, iters_used = iterate(shifted, a, b, cfg)
     return TransportPlan(plan, iters_used, _marginal_residual(plan))

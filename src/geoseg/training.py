@@ -351,11 +351,15 @@ def tta_predict(model: PointNetLite, cloud: PointCloud) -> np.ndarray:
     """Mean softmax probabilities over the TTA_ROTATIONS_DEG x TTA_SCALES grid."""
     total = None
     for deg in TTA_ROTATIONS_DEG:
+        rotated = rotate_z(cloud.points, math.radians(deg))
         for s in TTA_SCALES:
-            pts = rotate_z(cloud.points, math.radians(deg))
+            pts = rotated.copy()
             pts[:, :3] *= s
             probs = softmax(predict_logits(model, pts))
-            total = probs if total is None else total + probs
+            if total is None:
+                total = probs
+            else:
+                total += probs
     return total / (len(TTA_ROTATIONS_DEG) * len(TTA_SCALES))
 
 

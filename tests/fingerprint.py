@@ -7,7 +7,11 @@ Trains five loss configurations on 16 clean 300-point scenes
 16 hex digits of the sha256 of:
 
   step losses (packed `<4d?`: seg, gpl, gcl, total, skipped), model
-  parameters, relation matrix, embedding blocks, TTA confusion matrix.
+  parameters, relation matrix, embedding blocks, TTA confusion matrix,
+  and the TTA probabilities of the 6 test scenes, concatenated in order.
+
+The last digest catches a scoring change that flips no argmax, which the
+confusion matrix cannot show.
 
 BLAS runs on one thread: the script sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy is imported,
@@ -37,7 +41,7 @@ if importlib.util.find_spec("geoseg") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from geoseg.synthetic import TEST_INDEX_BASE, SynthConfig, generate_scene  # noqa: E402
-from geoseg.training import ablation_base_config, evaluate, train  # noqa: E402
+from geoseg.training import ablation_base_config, evaluate, train, tta_predict  # noqa: E402
 
 CASES = {
     "baseline": {"lambda1": 0.0, "lambda2": 0.0},
@@ -64,12 +68,14 @@ def fingerprint(overrides: dict) -> list[str]:
         struct.pack("<4d?", s.seg, s.gpl, s.gcl, s.total, s.skipped) for s in result.step_losses
     )
     params = b"".join(p.tobytes() for p in state.model.parameters())
+    probs = b"".join(tta_predict(state.model, s.cloud).tobytes() for s in test_scenes)
     return [
         digest(losses),
         digest(params),
         digest(state.relation.values.tobytes()),
         digest(state.embedding.blocks.tobytes()),
         digest(report.confusion.tobytes()),
+        digest(probs),
     ]
 
 

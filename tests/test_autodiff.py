@@ -207,6 +207,7 @@ def test_row_reduce_equals_the_axis_reduction(shape, rng):
     z[::3, -1] = z[::3, 0]  # ties
     z[1::5] = -np.inf
     assert _row_reduce(np.maximum, z).tobytes() == np.max(z, axis=1).tobytes()
+    assert _row_reduce(np.minimum, z).tobytes() == np.min(z, axis=1).tobytes()
     strided = rng.normal(size=(shape[0], 2 * shape[1]))[:, ::2]
     assert _row_reduce(np.maximum, strided).tobytes() == np.max(strided, axis=1).tobytes()
     if shape[1] < 8:  # numpy adds a row this short in order, too

@@ -16,6 +16,7 @@ from geoseg.network import (
     CheckpointFormatError,
     BoundModel,
     PointNetLite,
+    forward_arrays,
     load_checkpoint,
     predict_logits,
     save_checkpoint,
@@ -127,6 +128,75 @@ def test_softmax_rows_normalize(rng):
     probs = softmax(rng.normal(size=(6, 4)) * 30)
     assert np.all(probs >= 0)
     assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
+
+
+def biased_model(rng) -> PointNetLite:
+    model = tiny_model(rng=substream(2, "m"))
+    for b in (*model.biases, model.head_bias):
+        b[...] = rng.normal(size=b.shape)
+    return model
+
+
+def reference_acts(model: PointNetLite, points: np.ndarray) -> list[np.ndarray]:
+    """forward_arrays written with one new array per operation."""
+    x = points.astype(np.float64)
+    x[:, :3] /= COORD_SCALE
+    acts = [x]
+    for w, b in zip(model.weights, model.biases):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    acts.append(acts[-1] @ model.head_weight + model.head_bias)
+    return acts
+
+
+def test_forward_arrays_equals_the_out_of_place_reference_bytewise(rng):
+    model = biased_model(rng)
+    points = rng.uniform(-45, 45, size=(40, 4))
+    got = forward_arrays(model, points)
+    want = reference_acts(model, points)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_bound_model_gradients_equal_the_out_of_place_reference_bytewise(rng):
+    model = biased_model(rng)
+    points = rng.uniform(-45, 45, size=(40, 4))
+    tape = GradientTape()
+    bound = BoundModel(model, tape)
+    features, logits = bound.forward(points)
+    features.grad[...] = rng.normal(size=features.grad.shape)
+    logits.grad[...] = rng.normal(size=logits.grad.shape)
+    g_features, g_logits = features.grad.copy(), logits.grad.copy()
+    tape.backward(tape.leaf(0.0))  # replays only the forward's closure
+
+    acts = reference_acts(model, points)
+    grads = [np.zeros_like(p) for p in model.parameters()]
+    grads[-1] += g_logits.sum(axis=0)
+    grads[-2] += acts[-2].T @ g_logits
+    g = g_features + g_logits @ model.head_weight.T
+    for i in reversed(range(len(model.weights))):
+        g = (1.0 - acts[i + 1] * acts[i + 1]) * g
+        grads[2 * i + 1] += g.sum(axis=0)
+        grads[2 * i] += acts[i].T @ g
+        if i:
+            g = g @ model.weights[i].T
+    for got, want in zip(bound.gradients(), grads):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("columns", [1, 2, 6, 7, 8, 19])
+def test_softmax_equals_the_axis_reduction_reference(columns, rng):
+    z = rng.normal(size=(300, columns)) * 20
+    z[::4, -1] = z[::4, 0]  # ties at the row max
+    before = z.copy()
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    want = ez / ez.sum(axis=-1, keepdims=True)
+    got = softmax(z)
+    assert_array_equal(z, before)
+    if columns < 8:  # _row_reduce's np.add gives numpy's bits below 8 columns
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_seg_loss_is_storage_order_invariant(rng):
