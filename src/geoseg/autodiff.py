@@ -2,15 +2,16 @@
 
 Deliberately tiny: the fused layers (network.BoundModel.forward and
 geometry_embedding.embed_var, which yields the relation logits) record
-their own backward closures, and this module adds only the three ops the
-training loss needs on top of them: masked_cross_entropy, weighted_sum,
-the weighted total of the loss terms, and merge_rows, which builds the
-adverse copy's rows from the clean pass and a pass over the rows the
-augmentation changed. Each op computes its value eagerly and pushes a
-closure onto the tape; GradientTape.backward seeds the scalar target with
-gradient 1 and replays the closures in reverse, accumulating into
-Var.grad. Gradients of untouched leaves stay exactly zero. Constant
-arrays (anything passed as a plain ndarray) never receive gradients.
+their own backward closures, and this module adds only the two ops the
+training loss needs on top of them: masked_cross_entropy, and merge_rows,
+which builds the adverse copy's rows from the clean pass and a pass over
+the rows the augmentation changed. Each op computes its value eagerly and
+pushes a closure onto the tape. GradientTape.backward takes the weighted
+loss terms, seeds each term's gradient with its weight, and replays the
+closures in reverse, accumulating into Var.grad; the weighted total itself
+is never a tape op. Gradients of untouched leaves stay exactly zero.
+Constant arrays (anything passed as a plain ndarray) never receive
+gradients.
 
 Logits have few columns (one per class) and thousands of rows, so the
 cross-entropy takes its row max and row sum one column at a time
@@ -38,15 +39,17 @@ class GradientTape:
     def record(self, backward_fn) -> None:
         self._ops.append(backward_fn)
 
-    def backward(self, target: "Var") -> None:
-        """Accumulate d(target)/d(leaf) into every Var on this tape.
+    def backward(self, terms: list[tuple["Var", float]]) -> None:
+        """Accumulate d(sum_i w_i * x_i)/d(leaf) into every Var on this tape.
 
-        target must be scalar-valued. Call once per tape; a second call
-        would accumulate gradients twice.
+        terms holds (x_i, w_i) pairs of scalar Vars and their weights; a Var
+        listed twice is seeded with the sum of its weights. Call once per
+        tape; a second call would accumulate gradients twice.
         """
-        if target.value.size != 1:
-            raise ValueError(f"backward target must be scalar, got shape {target.value.shape}")
-        target.grad = np.ones_like(target.value)
+        for v, w in terms:
+            if v.value.size != 1:
+                raise ValueError(f"backward term must be scalar, got shape {v.value.shape}")
+            v.grad += w
         for fn in reversed(self._ops):
             fn()
         # Drop the closures: they pin every intermediate array, and the
@@ -63,24 +66,6 @@ class Var:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.tape = tape
-
-
-def weighted_sum(terms: list[tuple[Var, float]]) -> Var:
-    """sum_i w_i * x_i over scalar Vars, added left to right.
-
-    A lone weight-1 term is returned as is, so it adds no Var to the tape.
-    """
-    if len(terms) == 1 and terms[0][1] == 1.0:
-        return terms[0][0]
-    parts = [w * v.value for v, w in terms]
-    out = Var(sum(parts[1:], parts[0]), terms[0][0].tape)
-
-    def backward():
-        for v, w in terms:
-            v.grad += w * out.grad
-
-    out.tape.record(backward)
-    return out
 
 
 def _row_reduce(ufunc: np.ufunc, z: np.ndarray) -> np.ndarray:

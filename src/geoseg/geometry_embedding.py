@@ -39,10 +39,6 @@ class EmbeddingMatrix:
             raise ValueError(f"blocks must be (C, D, M), got shape {self.blocks.shape}")
 
     @property
-    def num_classes(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
     def num_properties(self) -> int:
         return self.blocks.shape[2]
 

@@ -66,10 +66,12 @@ class MetricsReport:
         return out
 
     def to_json_dict(self) -> dict:
+        """Per-class IoU and mIoU, with null where no class is present, as
+        strict JSON has no NaN."""
         return {
             "per_class_iou": [
                 None if not self.present[i] else float(self.per_class_iou[i])
                 for i in range(self.per_class_iou.shape[0])
             ],
-            "miou": self.miou,
+            "miou": self.miou if self.present.any() else None,
         }

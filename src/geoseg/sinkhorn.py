@@ -155,8 +155,3 @@ def solve(cost: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     iterate = _scaling if _exp_domain_safe(shifted) else _log_scaling
     plan, iters_used = iterate(shifted, a, b, cfg)
     return TransportPlan(plan, iters_used, _marginal_residual(plan))
-
-
-def plan_marginal_residual(plan: TransportPlan) -> float:
-    """L1 distance of the plan's marginals from the uniform 1/n and 1/m."""
-    return _marginal_residual(plan.plan)

@@ -22,6 +22,7 @@ original (non-augmented) features and receive no gradients.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,11 +35,9 @@ from geoseg.augment import (
 )
 from geoseg.autodiff import (
     GradientTape,
-    Var,
     _row_reduce,
     masked_cross_entropy,
     merge_rows,
-    weighted_sum,
 )
 from geoseg.geometry_embedding import (
     EmbeddingMatrix,
@@ -167,21 +166,15 @@ def _concat(scenes: list[Scene]) -> tuple[np.ndarray, LabelSet]:
 
 @dataclass
 class CompositeLoss:
-    """The training objective on its own tape, with the pieces a step reads."""
+    """One step's objective: its loss values, the clean pass's features and
+    logits, and backward, which returns the gradients of losses.total with
+    respect to model.parameters() + [relation.values], in that order, and
+    may be called once."""
 
-    total: Var | None
-    seg: Var | None
-    gpl: Var | None
-    gcl: Var | None
-    features: Var
-    logits: Var
-    bound: BoundModel
-    relation: Var
-
-    def backward(self) -> list[np.ndarray]:
-        """Gradients of total: model parameters in order, then the relation matrix."""
-        self.bound.tape.backward(self.total)
-        return self.bound.gradients() + [self.relation.grad]
+    losses: StepLosses
+    features: np.ndarray
+    logits: np.ndarray
+    backward: Callable[[], list[np.ndarray]]
 
 
 def composite_loss(
@@ -197,7 +190,10 @@ def composite_loss(
     with seg_on_augmented, its segmentation loss.
 
     A term is built only when its gate is on; a term without valid points
-    is left out, and total is None when every term is.
+    is left out and reads NaN in losses, and losses.skipped is set when
+    every term is. The total adds the weighted terms as plain floats, left
+    to right in the order seg, seg_aug, gpl, gcl; backward seeds each
+    term's gradient with its weight.
 
     Adverse row i must be made from clean row i (ValueError if the shapes
     differ). The adverse losses read only rows not labeled IGNORE_ID; of
@@ -237,9 +233,17 @@ def composite_loss(
                 logits_aug = merge_rows(logits, valid[shared], fresh_vars[1], shared)
                 seg_aug = masked_cross_entropy(logits_aug, labels_valid.labels)
     terms = [(seg, 1.0), (seg_aug, 1.0), (gpl, cfg.lambda1), (gcl, cfg.lambda2)]
-    terms = [(p, w) for p, w in terms if p is not None]
-    total = weighted_sum(terms) if terms else None
-    return CompositeLoss(total, seg, gpl, gcl, features, logits, bound, relation_var)
+    terms = [(v, w) for v, w in terms if v is not None]
+    parts = [w * float(v.value) for v, w in terms]
+    total = sum(parts[1:], parts[0]) if parts else math.nan
+    values = (math.nan if v is None else float(v.value) for v in (seg, gpl, gcl))
+    losses = StepLosses(*values, total, skipped=not terms)
+
+    def backward() -> list[np.ndarray]:
+        tape.backward(terms)
+        return bound.gradients() + [relation_var.grad]
+
+    return CompositeLoss(losses, features.value, logits.value, backward)
 
 
 def train_step(
@@ -263,18 +267,20 @@ def train_step(
     loss = composite_loss(
         state.model, state.relation, state.embedding, (points, labels), adverse, cfg
     )
-    if loss.total is None:
+    losses = loss.losses
+    if losses.skipped:
         state.step_count += 1
-        return StepLosses(math.nan, math.nan, math.nan, math.nan, skipped=True)
-    total = float(loss.total.value)
-    if not math.isfinite(total):
-        raise FloatingPointError(f"non-finite total loss {total} at step {state.step_count}")
+        return losses
+    if not math.isfinite(losses.total):
+        raise FloatingPointError(
+            f"non-finite total loss {losses.total} at step {state.step_count}"
+        )
     params = state.model.parameters() + [state.relation.values]
     sgd_step(params, loss.backward(), state.velocities, cfg)
 
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-        features = loss.features.value
-        predictions = np.argmax(loss.logits.value, axis=1)
+        features = loss.features
+        predictions = np.argmax(loss.logits, axis=1)
         raw = labels.labels
         updates = {}
         for class_id in np.unique(raw[raw != IGNORE_ID]):
@@ -290,11 +296,8 @@ def train_step(
         if updates:
             momentum_update(state.embedding, updates, cfg.epsilon)
 
-    def val(v: Var | None) -> float:
-        return float(v.value) if v is not None else math.nan
-
     state.step_count += 1
-    return StepLosses(val(loss.seg), val(loss.gpl), val(loss.gcl), total)
+    return losses
 
 
 @dataclass

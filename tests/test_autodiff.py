@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoseg.autodiff import GradientTape, Var, _row_reduce, masked_cross_entropy, weighted_sum
+from geoseg.autodiff import GradientTape, Var, _row_reduce, masked_cross_entropy
 
 IGNORE = 0xFFFF
 
@@ -49,15 +49,16 @@ def test_backward_requires_scalar_target():
     tape = GradientTape()
     v = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError, match="scalar"):
-        tape.backward(v)
+        tape.backward([(v, 1.0)])
+    with pytest.raises(ValueError, match="scalar"):
+        tape.backward([(tape.leaf(1.0), 1.0), (v, 2.0)])
 
 
 def test_untouched_leaf_keeps_exact_zero_grad(rng):
     tape = GradientTape()
     x = tape.leaf(rng.normal(size=(3, 2)))
     unused = tape.leaf(rng.normal(size=(4, 4)))
-    loss = weighted_sum([(contract(x, rng.normal(size=6)), 2.0)])
-    tape.backward(loss)
+    tape.backward([(contract(x, rng.normal(size=6)), 2.0)])
     assert np.array_equal(unused.grad, np.zeros((4, 4)))
 
 
@@ -66,9 +67,9 @@ def test_backward_releases_the_graph():
     # a lingering closure would pin every activation of the step.
     tape = GradientTape()
     x = tape.leaf(np.ones((4, 4)))
-    out = weighted_sum([(contract(x, np.ones(16)), 2.0)])
+    out = contract(x, np.ones(16))
     ref = weakref.ref(out)
-    tape.backward(out)
+    tape.backward([(out, 2.0)])
     del out
     assert ref() is None
 
@@ -77,11 +78,12 @@ def test_shared_leaf_accumulates():
     tape = GradientTape()
     x = tape.leaf(np.array([[2.0]]))
     y = contract(x, np.array([1.0]))
-    tape.backward(weighted_sum([(y, 1.0), (y, 1.0)]))
-    assert x.grad[0, 0] == 2.0
+    z = contract(x, np.array([3.0]))
+    tape.backward([(y, 1.0), (z, 1.0)])
+    assert x.grad[0, 0] == 4.0
 
 
-def test_weighted_sum_value_and_gradient(rng):
+def test_backward_seeds_each_term_with_its_weight(rng):
     x0 = rng.normal(size=(2, 4))
     probes = rng.normal(size=(3, 8))
     weights = (1.0, 0.5, 2.5)
@@ -94,27 +96,19 @@ def test_weighted_sum_value_and_gradient(rng):
 
     tape = GradientTape()
     x = tape.leaf(x0)
-    out = weighted_sum([(contract(x, p), w) for w, p in zip(weights, probes)])
-    assert_allclose(out.value.item(), value(), atol=1e-12)
-    tape.backward(out)
+    terms = [(contract(x, p), w) for w, p in zip(weights, probes)]
+    tape.backward(terms)
+    assert [float(v.grad) for v, _ in terms] == list(weights)
     assert_allclose(x.grad, finite_difference(value, x0), atol=1e-7)
 
 
-def test_weighted_sum_adds_left_to_right_bit_for_bit(rng):
-    parts = rng.normal(size=4)
-    weights = (1.0, 1.0, 0.3, 1.7)
+def test_backward_seeds_a_repeated_term_with_its_weights_summed():
     tape = GradientTape()
-    terms = [(tape.leaf(p), w) for p, w in zip(parts, weights)]
-    expected = ((parts[0] + parts[1]) + 0.3 * parts[2]) + 1.7 * parts[3]
-    assert weighted_sum(terms).value.tobytes() == np.float64(expected).tobytes()
-
-
-def test_weighted_sum_lone_unit_term_is_the_term_itself():
-    tape = GradientTape()
-    v = tape.leaf(np.array(3.0))
-    assert weighted_sum([(v, 1.0)]) is v
-    doubled = weighted_sum([(v, 2.0)])
-    assert doubled is not v and float(doubled.value) == 6.0
+    x = tape.leaf(np.array([[2.0]]))
+    y = contract(x, np.array([3.0]))
+    tape.backward([(y, 0.5), (y, 2.0)])
+    assert float(y.grad) == 2.5
+    assert x.grad[0, 0] == 7.5
 
 
 # ------------------------------------------------------- masked cross-entropy
@@ -161,7 +155,7 @@ def test_matches_scalar_oracle_and_ignores_masked(rng):
     logits = tape.leaf(logits0)
     out = masked_cross_entropy(logits, labels)
     assert_allclose(float(out.value), ce_oracle(logits0, labels), atol=1e-10)
-    tape.backward(out)
+    tape.backward([(out, 1.0)])
     fd = finite_difference(lambda: ce_oracle(logits0, labels), logits0)
     assert_allclose(logits.grad, fd, atol=1e-7)
     # Ignored rows receive exactly zero gradient.
@@ -173,7 +167,7 @@ def ce_value_and_grad(logits0: np.ndarray, labels: np.ndarray) -> tuple[float, n
     tape = GradientTape()
     logits = tape.leaf(logits0)
     out = masked_cross_entropy(logits, labels)
-    tape.backward(out)
+    tape.backward([(out, 1.0)])
     return float(out.value), logits.grad
 
 
@@ -222,7 +216,7 @@ def test_gradient_scales_with_upstream_factor(rng):
         tape = GradientTape()
         logits = tape.leaf(logits0)
         out = masked_cross_entropy(logits, labels)
-        tape.backward(weighted_sum([(out, factor)]))
+        tape.backward([(out, factor)])
         return logits.grad
 
     assert_allclose(grads(3.0), 3.0 * grads(1.0), atol=1e-12)

@@ -306,6 +306,28 @@ def test_eval_reports_metrics_and_writes_json(tmp_path, capsys):
     assert len(payload["per_class_iou"]) == 6
 
 
+def test_eval_json_is_strict_when_no_class_is_present(tmp_path):
+    data = make_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run_cli([
+        "train", "--data", str(data), "--out", str(run_dir),
+        "--epochs", "0", "--widths", "6,4", "--geom_props", "2",
+    ]) == 0
+    for path in (data / "labels").glob("*.label"):
+        path.write_bytes(np.full(40, 100, dtype="<u4").tobytes())  # all outside the table
+    json_path = tmp_path / "report.json"
+    assert run_cli([
+        "eval", "--checkpoint", str(run_dir / "checkpoint.gseg"),
+        "--data", str(data), "--json", str(json_path),
+    ]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(json_path.read_text(), parse_constant=reject)
+    assert payload == {"per_class_iou": [None] * 6, "miou": None}
+
+
 def test_eval_rejects_class_count_mismatch(tmp_path, capsys):
     data = make_dataset(tmp_path)
     model = PointNetLite.create(4, (6, 4), rng=substream(0, "init-model"))

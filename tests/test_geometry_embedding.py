@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape, weighted_sum
+from geoseg.autodiff import GradientTape
 from geoseg.geometry_embedding import (
     EmbeddingMatrix,
     RelationMatrix,
@@ -48,7 +48,7 @@ def unit_blocks(rng: np.random.Generator, c: int, d: int, m: int) -> EmbeddingMa
 def test_embedding_matrix_shape_and_validation(rng):
     emb = unit_blocks(rng, 3, 5, 2)
     assert emb.blocks.shape == (3, 5, 2)
-    assert (emb.num_classes, emb.num_properties) == (3, 2)
+    assert emb.num_properties == 2
     norms = np.linalg.norm(emb.blocks.reshape(3, -1), axis=1)
     assert_allclose(norms, np.ones(3), atol=1e-12)
     with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_embed_var_matches_embed_and_routes_gradient(rng):
     flat = embed(features0, emb).reshape(4, 4)
     assert_allclose(logits.value, flat @ relation0, atol=1e-12)
     labels = np.array([0, 1, 1, 0], dtype=np.uint16)
-    tape.backward(geometry_property_loss(logits, LabelSet(labels)))
+    tape.backward([(geometry_property_loss(logits, LabelSet(labels)), 1.0)])
     assert hashlib.sha256(emb.blocks.tobytes()).hexdigest() == checksum
     # Chain rule by hand on the (N, C*M) geometry: d loss / d logits =
     # (softmax - onehot) / N.
@@ -332,7 +332,7 @@ def test_property_loss_gradients_match_finite_differences(rng):
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation0)
     logits = embed_var(features, emb, relation_var)
-    tape.backward(geometry_property_loss(logits, labels))
+    tape.backward([(geometry_property_loss(logits, labels), 1.0)])
 
     step = 1e-5
     for arr, grad in ((features0, features.grad), (relation0, relation_var.grad)):
@@ -379,7 +379,7 @@ def test_consistency_loss_gradient_never_reaches_blocks(rng):
     features = tape.leaf(features0)
     relation_var = tape.leaf(relation.values)
     loss = geometry_consistency_loss(features, emb, relation_var, labels)
-    tape.backward(weighted_sum([(loss, 2.0)]))
+    tape.backward([(loss, 2.0)])
     assert hashlib.sha256(emb.blocks.tobytes()).hexdigest() == checksum
     assert np.any(features.grad != 0.0)
     assert np.any(relation_var.grad != 0.0)

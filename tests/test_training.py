@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from geoseg import training
 from geoseg.augment import AugmentationConfig, standard_augment
-from geoseg.autodiff import GradientTape, Var, masked_cross_entropy, weighted_sum
+from geoseg.autodiff import GradientTape, Var, masked_cross_entropy
 from geoseg.geometry_embedding import (
     embed_var,
     geometry_consistency_loss,
@@ -92,7 +92,7 @@ def test_degenerate_step_equals_plain_cross_entropy_training():
     bound = BoundModel(reference.model, tape)
     _, logits = bound.forward(points)
     loss = masked_cross_entropy(logits, labels.labels)
-    tape.backward(loss)
+    tape.backward([(loss, 1.0)])
     relation_grad = np.zeros_like(reference.relation.values)
     sgd_step(
         reference.model.parameters() + [reference.relation.values],
@@ -199,8 +199,10 @@ def adverse_batch(kind: str):
     return (points, labels), (points_aug, LabelSet(raw))
 
 
-def full_pass_terms(state, batch, adverse, cfg) -> dict[str, Var | None]:
-    """The composite loss's terms with forward_arrays over every adverse row."""
+def full_pass_terms(state, batch, adverse, cfg) -> dict[str, float]:
+    """The composite loss's term values (NaN where a term has no valid
+    points) with forward_arrays over every adverse row, and their weighted
+    total added left to right as plain floats."""
     tape = GradientTape()
     relation = tape.leaf(state.relation.values)
 
@@ -221,9 +223,11 @@ def full_pass_terms(state, batch, adverse, cfg) -> dict[str, Var | None]:
     }
     weights = {"seg": 1.0, "seg_aug": float(cfg.seg_on_augmented), "gpl": cfg.lambda1,
                "gcl": cfg.lambda2}
-    parts = [(terms[k], weights[k]) for k in ("seg", "seg_aug", "gpl", "gcl")]
-    terms["total"] = weighted_sum([(v, w) for v, w in parts if v is not None and w > 0])
-    return terms
+    values = {k: math.nan if v is None else float(v.value) for k, v in terms.items()}
+    parts = [weights[k] * values[k] for k in ("seg", "seg_aug", "gpl", "gcl")
+             if terms[k] is not None and weights[k] > 0]
+    values["total"] = sum(parts[1:], parts[0])
+    return values
 
 
 @pytest.mark.parametrize("kind", ["mixed", "shared", "masked"])
@@ -242,11 +246,11 @@ def test_adverse_terms_equal_a_pass_over_every_adverse_row(kind, monkeypatch):
     loss = training.composite_loss(
         state.model, state.relation, state.embedding, batch, adverse, cfg
     )
-    got = {"seg": loss.seg, "gpl": loss.gpl, "gcl": loss.gcl, "total": loss.total,
-           "seg_aug": seg_terms[1] if len(seg_terms) > 1 else None}
+    losses = loss.losses
+    got = {"seg": losses.seg, "gpl": losses.gpl, "gcl": losses.gcl, "total": losses.total,
+           "seg_aug": float(seg_terms[1].value) if len(seg_terms) > 1 else math.nan}
     want = full_pass_terms(state, batch, adverse, cfg)
-    assert {k: v and float(v.value).hex() for k, v in got.items()} == \
-        {k: v and float(v.value).hex() for k, v in want.items()}
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
     n = batch[0].shape[0]
     valid = adverse[1].labels != IGNORE_ID
@@ -254,7 +258,7 @@ def test_adverse_terms_equal_a_pass_over_every_adverse_row(kind, monkeypatch):
     fresh = int(np.sum(valid & changed))
     assert rows == ([n, fresh] if fresh else [n])
     assert (fresh >= 2) == (kind == "mixed")
-    assert (loss.gcl is None) == (kind == "masked")
+    assert math.isnan(losses.gcl) == (kind == "masked")
     *_, relation_grad = loss.backward()
     assert np.all(np.isfinite(relation_grad))
 
