@@ -1,8 +1,8 @@
 """Domain-generalized point cloud segmentation with category-level geometry learning.
 
-Desk-scale reference implementation: numpy only, 64-bit floats, every
-random draw routed through named Philox substreams so that runs are
-bit-reproducible.
+Desk-scale reference implementation: numpy only, float64 parameters
+(training runs the network's pass on a float32 copy), every random draw
+routed through named Philox substreams so that runs are bit-reproducible.
 """
 
 import ctypes
@@ -23,7 +23,7 @@ _TRIM_THRESHOLD_BYTES = 64 << 20
 def _keep_step_temporaries_on_the_heap() -> None:
     """Fix glibc's malloc thresholds for this process, once, at import.
 
-    A training step allocates tens of megabytes of short-lived float64
+    A training step allocates megabytes of short-lived float32 and float64
     arrays (activations, tape gradients). Under glibc's default heuristics
     the heap top is trimmed after each burst of frees and large arrays go
     through mmap, so every step faults the same pages back in; that is a

@@ -13,11 +13,18 @@ is never a tape op. Gradients of untouched leaves stay exactly zero.
 Constant arrays (anything passed as a plain ndarray) never receive
 gradients.
 
+Values keep a floating dtype. Training's network pass runs in float32
+(training.train_step): its features, logits, merged rows and parameter
+leaves, and their gradients, are float32, and the cross-entropy computes
+in its logits' dtype. The relation matrix, the relation logits (embed_var
+widens the features) and their gradients stay float64, and every loss
+value is float64: the cross-entropy accumulates its mean in float64.
+
 Logits have few columns (one per class) and thousands of rows, so the
 cross-entropy takes its row max and row sum one column at a time
 (_row_reduce), at a quarter to a tenth of the cost of the axis-1
-reductions. network.softmax and sinkhorn.solve (its row min) use the
-same helper.
+reductions. network.softmax and sinkhorn.solve (its row min, and the
+kernel's and the plan's row sums) use the same helper.
 """
 
 from __future__ import annotations
@@ -58,12 +65,17 @@ class GradientTape:
 
 
 class Var:
-    """Array value plus accumulated gradient, attached to a tape."""
+    """Array value plus accumulated gradient, attached to a tape.
+
+    A floating value keeps its dtype (float32 in training's network pass);
+    anything else becomes float64. The gradient has the value's dtype.
+    """
 
     __slots__ = ("value", "grad", "tape", "__weakref__")
 
     def __init__(self, value, tape: GradientTape):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
         self.grad = np.zeros_like(self.value)
         self.tape = tape
 
@@ -71,8 +83,9 @@ class Var:
 def _row_reduce(ufunc: np.ufunc, z: np.ndarray) -> np.ndarray:
     """ufunc.reduce(z, axis=1) of a 2-D array, one ufunc call per column.
 
-    Over the few columns of a logits, point or cost array this is 4-10
-    times faster than the reduction, which walks each short row on its own.
+    Over the few columns of a batch's logits or points (thousands of rows)
+    this is 3-10 times faster than the reduction, which walks each short
+    row on its own; over a plan's few hundred rows the two are about even.
     np.maximum, np.minimum and np.logical_and give the same bits at any
     width; np.add does below eight columns, where numpy too adds a row in
     order.
@@ -89,6 +102,8 @@ def masked_cross_entropy(logits: Var, labels: np.ndarray) -> Var | None:
     Returns None when every point is ignored; the caller treats that as a
     loss contributing zero with zero gradient. When no point is ignored,
     the rows are read and written in place, with no gather or scatter.
+    The per-point terms and the gradient are computed in the logits' dtype;
+    their mean is accumulated in float64.
     """
     labels = np.asarray(labels)
     valid = labels != IGNORE_ID
@@ -102,7 +117,7 @@ def masked_cross_entropy(logits: Var, labels: np.ndarray) -> Var | None:
     picked_z = ez[np.arange(k), picked]
     np.exp(ez, out=ez)
     sez = _row_reduce(np.add, ez)
-    out = Var(-(picked_z - np.log(sez)).mean(), logits.tape)
+    out = Var(-(picked_z - np.log(sez)).mean(dtype=np.float64), logits.tape)
 
     def backward():
         p = ez  # ez is this closure's own, and the tape runs it once
@@ -117,14 +132,14 @@ def masked_cross_entropy(logits: Var, labels: np.ndarray) -> Var | None:
 
 def merge_rows(clean: Var, clean_rows: np.ndarray, fresh: Var | None,
                from_clean: np.ndarray) -> Var:
-    """Rows of two Vars interleaved into one, as one tape op.
+    """Rows of two Vars interleaved into one, in clean's dtype, as one tape op.
 
     Output row j is the next row of clean[clean_rows] where from_clean[j]
     is true, and the next row of fresh (None when there is no such row)
     where it is false. clean_rows holds no index twice, so the backward
     scatter is a plain fancy-index +=.
     """
-    value = np.empty((from_clean.size, clean.value.shape[1]))
+    value = np.empty((from_clean.size, clean.value.shape[1]), dtype=clean.value.dtype)
     value[from_clean] = clean.value[clean_rows]
     if fresh is not None:
         value[~from_clean] = fresh.value

@@ -98,15 +98,18 @@ def embed_var(features: Var, embedding: EmbeddingMatrix, relation: Var) -> Var:
 
     They are computed as F @ (flat2d() @ Q): the (N, C*M) geometry is never
     built, forward or backward. The embedding is a constant: gradients
-    reach the features and the relation matrix only.
+    reach the features and the relation matrix only. The logits and the
+    relation matrix's gradient are in the relation matrix's dtype (float32
+    features are widened once); the features' gradient is rounded to theirs.
     """
     flat = embedding.flat2d()
     mixed = flat @ relation.value
-    logits = Var(features.value @ mixed, features.tape)
+    wide = features.value.astype(mixed.dtype, copy=False)
+    logits = Var(wide @ mixed, features.tape)
 
     def backward():
-        relation.grad += flat.T @ (features.value.T @ logits.grad)
-        features.grad += logits.grad @ mixed.T
+        relation.grad += flat.T @ (wide.T @ logits.grad)
+        features.grad += (logits.grad @ mixed.T).astype(features.grad.dtype, copy=False)
 
     features.tape.record(backward)
     return logits

@@ -3,8 +3,12 @@
 Every point is processed independently: the (x, y, z, intensity) input
 has its coordinates divided by a fixed scale so they land roughly in
 [-1, 1], runs through a small tanh MLP ending in the feature vector, and
-an affine head maps features to class logits. All parameters are float64
-numpy arrays updated in place by heavy-ball SGD.
+an affine head maps features to class logits. The parameters are float64
+numpy arrays updated in place by heavy-ball SGD. The forward pass and its
+backward compute in the parameters' dtype: training runs them on a float32
+copy (PointNetLite.astype) and applies the float32 gradients to the float64
+master parameters, while prediction, checkpoints and the gradient check use
+the float64 model itself.
 """
 
 from __future__ import annotations
@@ -77,6 +81,15 @@ class PointNetLite:
     def widths(self) -> tuple[int, ...]:
         return tuple(w.shape[1] for w in self.weights)
 
+    def astype(self, dtype) -> "PointNetLite":
+        """A copy with every parameter cast to dtype."""
+        return PointNetLite(
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
+            self.head_weight.astype(dtype),
+            self.head_bias.astype(dtype),
+        )
+
     def parameters(self) -> list[np.ndarray]:
         """Parameter arrays in declaration order: (W, b) per layer, then head."""
         out: list[np.ndarray] = []
@@ -87,8 +100,9 @@ class PointNetLite:
 
 
 def forward_arrays(model: PointNetLite, points: np.ndarray) -> list[np.ndarray]:
-    """Scaled input, each trunk activation, then the logits, for (N, 4) points."""
-    x = np.array(points, dtype=np.float64)
+    """Scaled input, each trunk activation, then the logits, for (N, 4) points,
+    all in the dtype of the model's parameters."""
+    x = np.array(points, dtype=model.head_weight.dtype)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"expected (N, {model.in_dim}) points, got {x.shape}")
     x[:, :3] /= COORD_SCALE
@@ -166,8 +180,9 @@ def sgd_step(
     """One in-place heavy-ball step with cfg's lr, momentum and weight_decay.
 
     Per parameter: v <- momentum * v + grad + weight_decay * param, then
-    param <- param - lr * v. Raises FloatingPointError before touching
-    params or velocities.
+    param <- param - lr * v. A gradient may be float32 (training's network
+    pass) against float64 params and velocities; it is widened as it is
+    added. Raises FloatingPointError before touching params or velocities.
     """
     if not len(params) == len(grads) == len(velocities):
         raise ValueError("params, grads and velocities must align")

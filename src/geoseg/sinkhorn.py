@@ -83,7 +83,8 @@ def _marginal_residual(plan: np.ndarray) -> float:
     """L1 distance of the plan's row and column sums from 1/n and 1/m."""
     n, m = plan.shape
     return float(
-        np.abs(plan.sum(axis=1) - 1.0 / n).sum() + np.abs(plan.sum(axis=0) - 1.0 / m).sum()
+        np.abs(_row_reduce(np.add, plan) - 1.0 / n).sum()
+        + np.abs(plan.sum(axis=0) - 1.0 / m).sum()
     )
 
 
@@ -98,7 +99,7 @@ def _scaling(
     """Exp-domain iteration on K = exp(-shifted); the plan and iterations used."""
     kernel = np.exp(-shifted)
     kernel_t = np.ascontiguousarray(kernel.T)
-    kv = kernel.sum(axis=1)  # K v with v = 1
+    kv = _row_reduce(np.add, kernel)  # K v with v = 1
     row = np.empty_like(a)
     for it in range(1, cfg.max_iters + 1):
         u = a / kv

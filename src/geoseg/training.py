@@ -5,11 +5,13 @@ One train step follows a fixed order so that runs are bit-reproducible:
   1. standard augmentation per scene      (stream "std-aug", epoch, scene id)
   2. adverse compound augmentation        (stream "pags", epoch, scene id)
      of the originals, when a loss uses it
-  3. the composite loss (composite_loss): forward on the originals,
-     segmentation cross-entropy, relation logits + property loss, then
-     the consistency loss on the adverse copy; only its rows that the
-     augmentation changed and that a loss reads go through the network
-  4. backward, SGD update of model and relation matrix
+  3. the composite loss (composite_loss) on a float32 copy of the model:
+     forward on the originals, segmentation cross-entropy, relation
+     logits + property loss, then the consistency loss on the adverse
+     copy; only its rows that the augmentation changed and that a loss
+     reads go through the network
+  4. backward (float32 through the network), SGD update of the float64
+     model and relation matrix
   5. momentum update of the per-class geometry blocks from reliable
      points: each class's plan is solved on the geometry of its reliable
      rows alone, computed from the step's pre-update features
@@ -17,6 +19,10 @@ One train step follows a fixed order so that runs are bit-reproducible:
 Scenes of a batch are concatenated, so every loss is a mean over all
 points of the batch jointly. The embedding blocks are built from
 original (non-augmented) features and receive no gradients.
+
+Only the network's pass is float32. The master parameters, velocities,
+relation matrix, relation logits, blocks, plan costs and loss values are
+float64, and evaluation, TTA and checkpoints use the float64 model.
 """
 
 from __future__ import annotations
@@ -264,9 +270,12 @@ def train_step(
             for s in originals
         ])
 
-    loss = composite_loss(
-        state.model, state.relation, state.embedding, (points, labels), adverse, cfg
-    )
+    # The network runs on a float32 copy of the float64 master parameters.
+    # An entry beyond float32's range casts to +-inf without a warning; the
+    # checks below then raise FloatingPointError before any update.
+    with np.errstate(over="ignore"):
+        net = state.model.astype(np.float32)
+    loss = composite_loss(net, state.relation, state.embedding, (points, labels), adverse, cfg)
     losses = loss.losses
     if losses.skipped:
         state.step_count += 1
@@ -274,6 +283,10 @@ def train_step(
     if not math.isfinite(losses.total):
         raise FloatingPointError(
             f"non-finite total loss {losses.total} at step {state.step_count}"
+        )
+    if not all(np.all(np.isfinite(p)) for p in net.parameters()):
+        raise FloatingPointError(
+            f"a parameter exceeds the float32 range at step {state.step_count}"
         )
     params = state.model.parameters() + [state.relation.values]
     sgd_step(params, loss.backward(), state.velocities, cfg)

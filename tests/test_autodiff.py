@@ -3,9 +3,9 @@ import weakref
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from geoseg.autodiff import GradientTape, Var, _row_reduce, masked_cross_entropy
+from geoseg.autodiff import GradientTape, Var, _row_reduce, masked_cross_entropy, merge_rows
 
 IGNORE = 0xFFFF
 
@@ -43,6 +43,15 @@ def test_var_starts_with_zero_grad():
     v = tape.leaf(np.ones((2, 3)))
     assert v.value.dtype == np.float64
     assert np.array_equal(v.grad, np.zeros((2, 3)))
+
+
+def test_a_floating_value_keeps_its_dtype_and_any_other_becomes_float64():
+    tape = GradientTape()
+    narrow = tape.leaf(np.ones(3, dtype=np.float32))
+    assert narrow.value.dtype == narrow.grad.dtype == np.float32
+    for value in (np.arange(3), [1, 2], True):
+        v = tape.leaf(value)
+        assert v.value.dtype == v.grad.dtype == np.float64
 
 
 def test_backward_requires_scalar_target():
@@ -193,6 +202,43 @@ def test_ignored_rows_get_exactly_zero_gradient(rng):
     _, grad = ce_value_and_grad(logits0, labels)
     assert np.all(grad[ignored] == 0.0)
     assert np.all(np.any(grad[~ignored] != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("ignored", [False, True])
+def test_float32_logits_give_a_float64_loss_and_a_float32_gradient(ignored, rng):
+    logits = (rng.normal(size=(50, 6)) * 5).astype(np.float32)
+    labels = rng.integers(0, 6, size=50).astype(np.uint16)
+    if ignored:
+        labels[::7] = IGNORE
+    results = []
+    for value in (logits, logits.astype(np.float64)):
+        tape = GradientTape()
+        v = tape.leaf(value)
+        loss = masked_cross_entropy(v, labels)
+        tape.backward([(loss, 1.0)])
+        results.append((loss.value, v.grad))
+    (narrow_loss, narrow_grad), (wide_loss, wide_grad) = results
+    assert narrow_loss.dtype == np.float64
+    assert narrow_loss == pytest.approx(wide_loss, rel=1e-6)
+    assert narrow_grad.dtype == np.float32
+    assert_allclose(narrow_grad, wide_grad, rtol=0.0, atol=1e-7)
+    assert np.all(narrow_grad[labels == IGNORE] == 0.0)
+
+
+def test_merge_rows_keeps_the_dtype_of_its_rows(rng):
+    tape = GradientTape()
+    clean = tape.leaf(rng.normal(size=(5, 3)).astype(np.float32))
+    fresh = tape.leaf(rng.normal(size=(2, 3)).astype(np.float32))
+    from_clean = np.array([True, False, True, True, False])
+    merged = merge_rows(clean, np.array([4, 0, 2]), fresh, from_clean)
+    assert merged.value.dtype == np.float32
+    assert_array_equal(merged.value, np.stack([clean.value[4], fresh.value[0], clean.value[0],
+                                               clean.value[2], fresh.value[1]]))
+    merged.grad[...] = np.arange(15, dtype=np.float32).reshape(5, 3)
+    tape.backward([])
+    assert_array_equal(clean.grad[[4, 0, 2]], merged.grad[from_clean])
+    assert_array_equal(clean.grad[[1, 3]], 0.0)
+    assert_array_equal(fresh.grad, merged.grad[~from_clean])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (2400, 6), (50, 19)])

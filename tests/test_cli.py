@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -569,10 +570,15 @@ def test_a_non_finite_run_exits_two_without_a_checkpoint(tmp_path, capsys):
                     "--seed", "1"]) == 0
     out = tmp_path / "run"
     capsys.readouterr()
-    code = run_cli(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
-                    "--lr", "1e308", "--batch_size", "1"])
+    # The second step's float32 copy of the parameters overflows; the cast
+    # itself warns of nothing, and the non-finite loss it leads to fails the step.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                        "--lr", "1e308", "--batch_size", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("numeric failure: non-finite total loss")
+    assert not [w for w in caught if "cast" in str(w.message)]
     assert not (out / "checkpoint.gseg").exists()
 
 

@@ -138,8 +138,9 @@ def biased_model(rng) -> PointNetLite:
 
 
 def reference_acts(model: PointNetLite, points: np.ndarray) -> list[np.ndarray]:
-    """forward_arrays written with one new array per operation."""
-    x = points.astype(np.float64)
+    """forward_arrays written with one new array per operation, in the
+    model's dtype."""
+    x = points.astype(model.head_weight.dtype)
     x[:, :3] /= COORD_SCALE
     acts = [x]
     for w, b in zip(model.weights, model.biases):
@@ -182,6 +183,27 @@ def test_bound_model_gradients_equal_the_out_of_place_reference_bytewise(rng):
             g = g @ model.weights[i].T
     for got, want in zip(bound.gradients(), grads):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_float32_copy_runs_forward_and_backward_in_float32(rng):
+    model = biased_model(rng)
+    copy = model.astype(np.float32)
+    for p, q in zip(model.parameters(), copy.parameters()):
+        assert q.dtype == np.float32 and not np.shares_memory(p, q)
+        assert_array_equal(q, p.astype(np.float32))
+    points = rng.uniform(-45, 45, size=(40, 4))
+    for got, want, wide in zip(forward_arrays(copy, points), reference_acts(copy, points),
+                               forward_arrays(model, points)):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert_allclose(got, wide, rtol=1e-5, atol=1e-6)
+    tape = GradientTape()
+    bound = BoundModel(copy, tape)
+    features, logits = bound.forward(points)
+    assert features.value.dtype == logits.value.dtype == np.float32
+    loss = masked_cross_entropy(logits, rng.integers(0, 3, size=40))
+    tape.backward([(loss, 1.0)])
+    assert [g.dtype for g in bound.gradients()] == [np.float32] * len(model.parameters())
+    assert all(p.dtype == np.float64 for p in model.parameters())
 
 
 @pytest.mark.parametrize("columns", [1, 2, 6, 7, 8, 19])

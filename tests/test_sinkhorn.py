@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from geoseg.sinkhorn import (
     EXP_RANGE_BOUND,
     SinkhornConfig,
-    TransportPlan,
     _exp_domain_safe,
     solve,
 )
@@ -124,6 +123,12 @@ def test_reports_iterations_and_residual(rng):
     assert result.shape == (4, 4)
     # The stored residual is exactly the recomputed one.
     assert marginal_residual(result.plan) == pytest.approx(result.residual, abs=1e-15)
+    # The helper reads zero on an exact product plan and twice an offset
+    # added to one of its entries, so the comparison above checks the solver.
+    product = np.full((2, 3), 1.0 / 6.0)
+    assert marginal_residual(product) == 0.0
+    product[0, 1] += 1e-6
+    assert marginal_residual(product) == pytest.approx(2e-6, rel=1e-9)
 
 
 def test_nonconvergence_is_reported_not_raised(rng):
@@ -131,19 +136,6 @@ def test_nonconvergence_is_reported_not_raised(rng):
     result = solve(cost, SinkhornConfig(sigma=0.05, max_iters=1, tol=1e-16))
     assert result.iters_used == 1
     assert result.residual > 0.0
-
-
-def test_exact_product_plan_has_zero_residual():
-    plan = TransportPlan(np.full((2, 3), 1.0 / 6.0), 0, 0.0)
-    assert marginal_residual(plan.plan) == 0.0
-
-
-def test_single_entry_perturbation_doubles_in_residual():
-    eps = 1e-6
-    base = np.full((2, 3), 1.0 / 6.0)
-    base[0, 1] += eps
-    plan = TransportPlan(base, 0, 0.0)
-    assert marginal_residual(plan.plan) == pytest.approx(2.0 * eps, rel=1e-9)
 
 
 def test_input_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from geoseg import training
 from geoseg.augment import AugmentationConfig, standard_augment
 from geoseg.autodiff import GradientTape, Var, masked_cross_entropy
 from geoseg.geometry_embedding import (
+    EmbeddingMatrix,
+    RelationMatrix,
     embed_var,
     geometry_consistency_loss,
     geometry_property_loss,
@@ -15,7 +18,9 @@ from geoseg.geometry_embedding import (
 from geoseg.network import (
     BoundModel,
     forward_arrays,
+    load_checkpoint,
     predict_logits,
+    save_checkpoint,
     sgd_step,
 )
 from geoseg.scenes import IGNORE_ID, LabelSet, PointCloud, Scene
@@ -72,7 +77,9 @@ def test_init_state_is_deterministic_per_seed():
 
 def test_degenerate_step_equals_plain_cross_entropy_training():
     """lambda1 = lambda2 = 0 with the adverse gates closed must reproduce a
-    hand-written augment/forward/backward/update loop bit for bit."""
+    hand-written augment/forward/backward/update loop bit for bit: the
+    forward and backward on a float32 copy of the model, the update on the
+    float64 parameters."""
     cfg = tiny_cfg(
         lambda1=0.0, lambda2=0.0, augmentation=AugmentationConfig(beta1=0.0, beta2=0.0)
     )
@@ -89,7 +96,7 @@ def test_degenerate_step_equals_plain_cross_entropy_training():
     points = np.concatenate([s.cloud.points for s in aug])
     labels = LabelSet(np.concatenate([s.labels.labels for s in aug]))
     tape = GradientTape()
-    bound = BoundModel(reference.model, tape)
+    bound = BoundModel(reference.model.astype(np.float32), tape)
     _, logits = bound.forward(points)
     loss = masked_cross_entropy(logits, labels.labels)
     tape.backward([(loss, 1.0)])
@@ -156,6 +163,103 @@ def test_train_loss_sequence_is_bit_reproducible():
     assert a.epoch_totals == b.epoch_totals
     for pa, pb in zip(a.state.model.parameters(), b.state.model.parameters()):
         assert pa.tobytes() == pb.tobytes()
+
+
+# ------------------------------------------------------- float32 network pass
+
+
+def capture_step(monkeypatch, state, cfg):
+    """Run one train_step, recording what composite_loss was handed (the
+    model, copies of the relation and the blocks, the batches) and the
+    gradients sgd_step received."""
+    seen = {}
+    composite = training.composite_loss
+    sgd = training.sgd_step
+
+    def record_loss(model, relation, embedding, batch, adverse, cfg):
+        seen["model"] = model
+        seen["relation"] = RelationMatrix(relation.values.copy())
+        seen["embedding"] = EmbeddingMatrix(embedding.blocks.copy())
+        seen["batch"], seen["adverse"] = batch, adverse
+        return composite(model, relation, embedding, batch, adverse, cfg)
+
+    def record_grads(params, grads, velocities, cfg):
+        seen["grads"] = [g.copy() for g in grads]
+        sgd(params, grads, velocities, cfg)
+
+    monkeypatch.setattr(training, "composite_loss", record_loss)
+    monkeypatch.setattr(training, "sgd_step", record_grads)
+    seen["losses"] = train_step(state, tiny_scenes(2), cfg, epoch=0)
+    return seen
+
+
+@pytest.mark.parametrize("variant", ["baseline", "full"])
+def test_a_step_has_the_float64_gradients_to_float32_precision(variant, monkeypatch):
+    cfg = variant_config(tiny_cfg(), variant)
+    state = init_state(cfg, TABLE)
+    master = state.model.astype(np.float64)  # a copy: the step updates state.model
+    seen = capture_step(monkeypatch, state, cfg)
+    assert all(p.dtype == np.float32 for p in seen["model"].parameters())
+    assert (seen["adverse"] is None) == (variant == "baseline")
+
+    want = training.composite_loss(master, seen["relation"], seen["embedding"],
+                                   seen["batch"], seen["adverse"], cfg)
+    got = seen["grads"]
+    assert [g.dtype for g in got] == [np.float32] * (len(got) - 1) + [np.float64]
+    for g, w in zip(got, want.backward()):
+        assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
+    for name in ("seg", "gpl", "gcl", "total"):
+        a, b = getattr(seen["losses"], name), getattr(want.losses, name)
+        assert a == pytest.approx(b, rel=1e-6, nan_ok=True)
+
+
+def state_arrays(state) -> list[np.ndarray]:
+    return [*state.model.parameters(), *state.velocities, state.relation.values,
+            state.embedding.blocks]
+
+
+def test_training_keeps_the_master_state_in_float64_and_reruns_bitwise():
+    cfg = tiny_cfg(epochs=2)
+    scenes = tiny_scenes(4)
+    first, second = (state_arrays(train(cfg, scenes, TABLE).state) for _ in range(2))
+    assert all(a.dtype == np.float64 for a in first + second)
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+
+
+def test_a_trained_checkpoint_round_trips_its_bytes_and_predictions(tmp_path):
+    state = train(tiny_cfg(), tiny_scenes(4), TABLE).state
+    path = tmp_path / "trained.gseg"
+    save_checkpoint(path, state.model, state.relation, state.embedding)
+    model, relation, embedding = load_checkpoint(path)
+    for got, want in zip(model.parameters() + [relation.values, embedding.blocks],
+                         state.model.parameters() + [state.relation.values,
+                                                     state.embedding.blocks]):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    cloud = tiny_scenes(1, seed=3)[0].cloud
+    assert predict_logits(model, cloud.points).tobytes() == \
+        predict_logits(state.model, cloud.points).tobytes()
+    assert tta_predict(model, cloud).tobytes() == tta_predict(state.model, cloud).tobytes()
+
+
+@pytest.mark.parametrize("where, message", [
+    ("head", "non-finite total loss"),
+    ("first layer", "exceeds the float32 range"),
+])
+def test_a_parameter_beyond_float32_raises_before_any_update(where, message):
+    cfg = tiny_cfg()
+    state = init_state(cfg, TABLE)
+    # Finite in float64, +inf once cast: the head's makes the logits NaN;
+    # the first layer's only saturates a unit, so the loss stays finite.
+    (state.model.head_weight if where == "head" else state.model.weights[0])[0, 0] = 1e39
+    arrays = state_arrays(state)
+    before = [a.tobytes() for a in arrays]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match=message):
+            train_step(state, tiny_scenes(2), cfg, epoch=0)
+    assert not [w for w in caught if "cast" in str(w.message)]
+    assert [a.tobytes() for a in arrays] == before
+    assert state.step_count == 0
 
 
 def test_train_requires_scenes():
